@@ -15,6 +15,7 @@
  * Usage: bench_simcore [--smoke]
  *   --smoke   cut the workloads to run in a couple of seconds (used
  *             by the bench_smoke ctest entry).
+ * Any other argument is rejected with exit status 2.
  */
 
 #include <algorithm>
@@ -23,7 +24,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "apps/registry.hh"
@@ -167,122 +167,94 @@ benchApp(const std::string& app, AppScale scale, int reps)
     return r;
 }
 
-struct FaultModeRow
+/** Wall-clock cost of a variant configuration over a plain one. */
+struct Overhead
 {
-    std::string app;
-    std::uint64_t events = 0;
-    double plainSeconds = 0.0;
-    double disabledSeconds = 0.0;
-    /** disabled/plain wall ratio (1.0 = injection is free). */
+    /** Fastest single run of each side. */
+    double plainSeconds = 1e30;
+    double variantSeconds = 1e30;
+    /** Median of the per-pair variant/plain ratios (1.0 = free). */
     double ratio = 0.0;
-    bool eventsMatch = false;
 };
 
 /**
- * Overhead of the fault-injection layer when it is compiled in but
- * the plan injects nothing: the runtime must take the plain batch
- * path and produce a bit-identical event trace. Wall time is the
- * min over interleaved reps (robust against CPU drift); the event
- * counts must match exactly.
+ * Time @p reps interleaved (plain, variant) pairs; each callable runs
+ * once and returns its wall seconds. Pairs alternate which side goes
+ * first, so neither side always inherits the other's heap and cache
+ * state, and the ratio is the median of the per-pair ratios. On a
+ * shared 4-core host, two identical engines read 0.91-1.17 as a
+ * min-over-20-reps ratio; 200 alternating pairs with a paired median
+ * stay within 1% of 1.0, well inside the 2% budgets.
  */
-FaultModeRow
-benchFaultMode(const std::string& app, int reps)
+template <typename Plain, typename Variant>
+Overhead
+measureOverhead(int reps, Plain&& plain, Variant&& variant)
 {
-    Engine plain(DeviceConfig::k20c());
-    Engine armed(DeviceConfig::k20c());
-    armed.setFaultPlan(FaultPlan{}); // nothing enabled
-
-    FaultModeRow row;
-    row.app = app;
-    row.plainSeconds = 1e30;
-    row.disabledSeconds = 1e30;
-    std::uint64_t plainEvents = 0, disabledEvents = 0;
+    Overhead o;
+    std::vector<double> ratios;
     for (int i = 0; i < reps; ++i) {
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = plain.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.plainSeconds =
-                std::min(row.plainSeconds, secondsSince(t0));
-            plainEvents = r.simEvents;
+        double p, v;
+        if (i % 2 == 0) {
+            p = plain();
+            v = variant();
+        } else {
+            v = variant();
+            p = plain();
         }
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = armed.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.disabledSeconds =
-                std::min(row.disabledSeconds, secondsSince(t0));
-            disabledEvents = r.simEvents;
-        }
+        o.plainSeconds = std::min(o.plainSeconds, p);
+        o.variantSeconds = std::min(o.variantSeconds, v);
+        ratios.push_back(v / p);
     }
-    row.events = plainEvents;
-    row.eventsMatch = plainEvents == disabledEvents;
-    row.ratio = row.disabledSeconds / row.plainSeconds;
-    return row;
+    auto mid = ratios.begin() + ratios.size() / 2;
+    std::nth_element(ratios.begin(), mid, ratios.end());
+    o.ratio = *mid;
+    return o;
 }
 
-struct ObsModeRow
+/** One small-scale megakernel run of @p app; returns wall seconds. */
+double
+timedRun(Engine& engine, const std::string& app, RunResult& out)
+{
+    auto driver = makeApp(app, AppScale::Small);
+    auto t0 = Clock::now();
+    out = engine.run(*driver, makeMegakernelConfig(driver->pipeline()));
+    return secondsSince(t0);
+}
+
+struct DisabledModeRow
 {
     std::string app;
     std::uint64_t events = 0;
     double plainSeconds = 0.0;
     double disabledSeconds = 0.0;
-    /** disabled/plain wall ratio (1.0 = tracing-off is free). */
+    /** disabled/plain wall ratio (1.0 = the idle layer is free). */
     double ratio = 0.0;
     bool eventsMatch = false;
 };
 
 /**
- * Overhead of the observability layer when it is armed but inert
- * (tracing disabled, sampling off): every hook collapses to a null
- * tracer check, and the run must produce a bit-identical event
- * trace. Same methodology as benchFaultMode: min wall time over
- * interleaved reps, exact event-count comparison.
+ * Overhead of a layer that @p armed has compiled in and configured
+ * but that does nothing — a fault plan that injects nothing, or
+ * observability with tracing and sampling off. The runtime must take
+ * its plain path: the event trace is bit-identical to an engine
+ * without the layer, and the wall ratio should sit at 1.0.
  */
-ObsModeRow
-benchObsMode(const std::string& app, int reps)
+DisabledModeRow
+benchDisabledMode(const std::string& app, int reps, Engine& armed)
 {
     Engine plain(DeviceConfig::k20c());
-    Engine armed(DeviceConfig::k20c());
-    ObsConfig oc;
-    oc.trace = false;
-    oc.sampleIntervalCycles = 0.0;
-    armed.setObservability(oc);
+    RunResult pr, ar;
+    Overhead o = measureOverhead(
+        reps, [&] { return timedRun(plain, app, pr); },
+        [&] { return timedRun(armed, app, ar); });
 
-    ObsModeRow row;
+    DisabledModeRow row;
     row.app = app;
-    row.plainSeconds = 1e30;
-    row.disabledSeconds = 1e30;
-    std::uint64_t plainEvents = 0, disabledEvents = 0;
-    for (int i = 0; i < reps; ++i) {
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = plain.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.plainSeconds =
-                std::min(row.plainSeconds, secondsSince(t0));
-            plainEvents = r.simEvents;
-        }
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = armed.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.disabledSeconds =
-                std::min(row.disabledSeconds, secondsSince(t0));
-            disabledEvents = r.simEvents;
-        }
-    }
-    row.events = plainEvents;
-    row.eventsMatch = plainEvents == disabledEvents;
-    row.ratio = row.disabledSeconds / row.plainSeconds;
+    row.events = pr.simEvents;
+    row.eventsMatch = pr.simEvents == ar.simEvents;
+    row.plainSeconds = o.plainSeconds;
+    row.disabledSeconds = o.variantSeconds;
+    row.ratio = o.ratio;
     return row;
 }
 
@@ -316,41 +288,20 @@ benchProvenance(const std::string& app, int reps)
     oc.provenance = true;
     armed.setObservability(oc);
 
+    RunResult pr, ar;
+    Overhead o = measureOverhead(
+        reps, [&] { return timedRun(plain, app, pr); },
+        [&] { return timedRun(armed, app, ar); });
+
     ProvRow row;
     row.app = app;
-    row.plainSeconds = 1e30;
-    row.armedSeconds = 1e30;
-    std::uint64_t plainEvents = 0, armedEvents = 0;
-    double plainCycles = 0.0, armedCycles = 0.0;
-    for (int i = 0; i < reps; ++i) {
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = plain.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.plainSeconds =
-                std::min(row.plainSeconds, secondsSince(t0));
-            plainEvents = r.simEvents;
-            plainCycles = r.cycles;
-        }
-        {
-            auto driver = makeApp(app, AppScale::Small);
-            auto t0 = Clock::now();
-            RunResult r = armed.run(*driver,
-                                    makeMegakernelConfig(
-                                        driver->pipeline()));
-            row.armedSeconds =
-                std::min(row.armedSeconds, secondsSince(t0));
-            armedEvents = r.simEvents;
-            armedCycles = r.cycles;
-            row.itemsTracked = r.obs->provenance->records().size();
-        }
-    }
-    row.events = plainEvents;
-    row.eventsMatch = plainEvents == armedEvents;
-    row.cyclesMatch = plainCycles == armedCycles;
-    row.ratio = row.armedSeconds / row.plainSeconds;
+    row.events = pr.simEvents;
+    row.eventsMatch = pr.simEvents == ar.simEvents;
+    row.cyclesMatch = pr.cycles == ar.cycles;
+    row.itemsTracked = ar.obs->provenance->records().size();
+    row.plainSeconds = o.plainSeconds;
+    row.armedSeconds = o.variantSeconds;
+    row.ratio = o.ratio;
     return row;
 }
 
@@ -416,82 +367,6 @@ benchShard(const std::string& app, AppScale scale)
     row.deterministic = r2.cycles == r3.cycles
         && r2.simEvents == r3.simEvents
         && stageItems(r2) == stageItems(r3);
-    return row;
-}
-
-struct HostParallelRow
-{
-    std::string app;
-    /** One entry per host-thread count swept (1, 2, 4). */
-    std::vector<int> threads;
-    std::vector<double> seconds;
-    std::vector<double> eventsPerSec;
-    std::vector<std::uint64_t> events;
-    /** Wall-clock speedup of N threads over the serial loop. */
-    double speedup2 = 0.0;
-    double speedup4 = 0.0;
-    /** Cycles, event counts and per-stage work identical across
-     *  every thread count (the exact tier's contract). */
-    bool identical = false;
-    unsigned cores = 0;
-};
-
-/**
- * Host-parallel group loop: the same 2-device replicate run driven
- * by 1 (serial group loop), 2 and 4 host threads. The replicate plan
- * takes the exact tier, so every sweep must report bit-identical
- * simulated results; the wall-clock speedup is the whole point of
- * the parallel loop and is asserted (>= 1.4x at 2 threads) only when
- * the machine actually has 2+ hardware threads — on a single-core
- * host the sweep still gates determinism.
- */
-HostParallelRow
-benchHostParallel(const std::string& app, AppScale scale)
-{
-    DeviceConfig dev = DeviceConfig::byName("gtx1080");
-    auto stageItems = [](const RunResult& r) {
-        std::vector<std::uint64_t> v;
-        for (const auto& s : r.stages)
-            v.push_back(s.items + s.deadLettered);
-        return v;
-    };
-
-    HostParallelRow row;
-    row.app = app;
-    row.cores = std::thread::hardware_concurrency();
-
-    auto driver = makeApp(app, scale);
-    PipelineConfig cfg = makeMegakernelConfig(driver->pipeline());
-    ShardPlan plan = ShardPlan::replicateAll(driver->pipeline());
-
-    std::vector<RunResult> results;
-    for (int threads : {1, 2, 4}) {
-        Engine group(DeviceGroupConfig::homogeneous(dev, 2));
-        group.setHostThreads(threads);
-        auto t0 = Clock::now();
-        RunResult r = group.runSharded(*driver, cfg, plan);
-        double secs = secondsSince(t0);
-        row.threads.push_back(threads);
-        row.seconds.push_back(secs);
-        row.events.push_back(r.simEvents);
-        row.eventsPerSec.push_back(
-            secs > 0.0 ? static_cast<double>(r.simEvents) / secs
-                       : 0.0);
-        results.push_back(std::move(r));
-    }
-
-    row.identical = true;
-    for (const RunResult& r : results)
-        row.identical = row.identical && r.completed
-            && r.cycles == results[0].cycles
-            && r.simEvents == results[0].simEvents
-            && stageItems(r) == stageItems(results[0]);
-    row.speedup2 = row.seconds[1] > 0.0
-        ? row.seconds[0] / row.seconds[1]
-        : 0.0;
-    row.speedup4 = row.seconds[2] > 0.0
-        ? row.seconds[0] / row.seconds[2]
-        : 0.0;
     return row;
 }
 
@@ -700,11 +575,11 @@ struct AdaptiveRow
  * back-heavy for the second. The static partition is the one an
  * offline tuner would pick for phase 0 (front-weighted); the
  * controller starts from the same partition and must rebalance.
- * Also measures the disabled-config overhead with the interleaved
- * min-wall methodology of benchFaultMode.
+ * Also measures the disabled-config overhead over @p overheadReps
+ * interleaved pairs (measureOverhead).
  */
 AdaptiveRow
-benchAdaptive(bool smoke)
+benchAdaptive(bool smoke, int overheadReps)
 {
     DeviceConfig dev = DeviceConfig::k20c();
     int perPhase = smoke ? 1500 : 6000;
@@ -761,31 +636,21 @@ benchAdaptive(bool smoke)
         Engine plain(dev);
         Engine armed(dev);
         armed.setAdaptive(AdaptiveConfig{}); // disabled
-        row.plainSeconds = 1e30;
-        row.disabledSeconds = 1e30;
-        std::uint64_t plainEvents = 0, disabledEvents = 0;
-        int reps = smoke ? 3 : 10;
-        for (int i = 0; i < reps; ++i) {
-            {
-                PhaseApp app(perPhase, false);
-                auto t0 = Clock::now();
-                RunResult r = plain.run(app, wrongPhase);
-                row.plainSeconds =
-                    std::min(row.plainSeconds, secondsSince(t0));
-                plainEvents = r.simEvents;
-            }
-            {
-                PhaseApp app(perPhase, false);
-                auto t0 = Clock::now();
-                RunResult r = armed.run(app, wrongPhase);
-                row.disabledSeconds =
-                    std::min(row.disabledSeconds, secondsSince(t0));
-                disabledEvents = r.simEvents;
-            }
-        }
-        row.events = plainEvents;
-        row.disabledIdentical = plainEvents == disabledEvents;
-        row.disabledRatio = row.disabledSeconds / row.plainSeconds;
+        auto timed = [&](Engine& engine, RunResult& out) {
+            PhaseApp app(perPhase, false);
+            auto t0 = Clock::now();
+            out = engine.run(app, wrongPhase);
+            return secondsSince(t0);
+        };
+        RunResult pr, ar;
+        Overhead o = measureOverhead(
+            overheadReps, [&] { return timed(plain, pr); },
+            [&] { return timed(armed, ar); });
+        row.events = pr.simEvents;
+        row.disabledIdentical = pr.simEvents == ar.simEvents;
+        row.plainSeconds = o.plainSeconds;
+        row.disabledSeconds = o.variantSeconds;
+        row.disabledRatio = o.ratio;
     }
     return row;
 }
@@ -1068,12 +933,22 @@ int
 main(int argc, char** argv)
 {
     bool smoke = false;
-    for (int i = 1; i < argc; ++i)
-        if (std::strcmp(argv[i], "--smoke") == 0)
+    for (int i = 1; i < argc; ++i) {
+        if (std::strcmp(argv[i], "--smoke") == 0) {
             smoke = true;
+        } else {
+            std::fprintf(stderr,
+                         "bench_simcore: unknown argument '%s'\n"
+                         "usage: bench_simcore [--smoke]\n",
+                         argv[i]);
+            return 2;
+        }
+    }
 
     const std::uint64_t engineEvents = smoke ? 200000 : 8000000;
     const int reps = smoke ? 1 : 5;
+    // Interleaved pairs per overhead ratio (see measureOverhead).
+    const int overheadReps = smoke ? 3 : 200;
 
     std::vector<Row> rows;
     rows.push_back(benchChain(engineEvents));
@@ -1093,7 +968,10 @@ main(int argc, char** argv)
                     r.seconds, r.eventsPerSec / 1e6);
 
     vp::bench::header("fault-injection overhead (pyramid, small)");
-    FaultModeRow fm = benchFaultMode("pyramid", smoke ? 3 : 20);
+    Engine faultArmed(DeviceConfig::k20c());
+    faultArmed.setFaultPlan(FaultPlan{}); // nothing enabled
+    DisabledModeRow fm =
+        benchDisabledMode("pyramid", overheadReps, faultArmed);
     std::printf("  plain             %8.3fms\n"
                 "  disabled plan     %8.3fms  ratio=%.4f  "
                 "events %s\n",
@@ -1114,7 +992,13 @@ main(int argc, char** argv)
     }
 
     vp::bench::header("observability overhead (pyramid, small)");
-    ObsModeRow om = benchObsMode("pyramid", smoke ? 3 : 20);
+    Engine obsArmed(DeviceConfig::k20c());
+    ObsConfig inert;
+    inert.trace = false;
+    inert.sampleIntervalCycles = 0.0;
+    obsArmed.setObservability(inert);
+    DisabledModeRow om =
+        benchDisabledMode("pyramid", overheadReps, obsArmed);
     std::printf("  plain             %8.3fms\n"
                 "  tracing disabled  %8.3fms  ratio=%.4f  "
                 "events %s\n",
@@ -1135,7 +1019,7 @@ main(int argc, char** argv)
     }
 
     vp::bench::header("provenance overhead (pyramid, small)");
-    ProvRow pr = benchProvenance("pyramid", smoke ? 3 : 20);
+    ProvRow pr = benchProvenance("pyramid", overheadReps);
     std::printf("  plain             %8.3fms\n"
                 "  provenance armed  %8.3fms  ratio=%.4f  "
                 "events %s  cycles %s  items=%llu\n",
@@ -1184,35 +1068,8 @@ main(int argc, char** argv)
         return 1;
     }
 
-    vp::bench::header(
-        "host-parallel group loop (raster, 2x gtx1080, replicate)");
-    HostParallelRow hp = benchHostParallel(
-        "raster", smoke ? AppScale::Small : AppScale::Full);
-    for (std::size_t i = 0; i < hp.threads.size(); ++i)
-        std::printf("  %d host thread%s    %8.3fs  %8.3fM ev/s\n",
-                    hp.threads[i], hp.threads[i] == 1 ? " " : "s",
-                    hp.seconds[i], hp.eventsPerSec[i] / 1e6);
-    std::printf("  speedup x2=%.2f x4=%.2f  (%u hardware threads)  "
-                "results %s\n",
-                hp.speedup2, hp.speedup4, hp.cores,
-                hp.identical ? "bit-identical" : "DIVERGED");
-    if (!hp.identical) {
-        std::fprintf(stderr,
-                     "ERROR: host-parallel runs diverged from the "
-                     "serial group loop\n");
-        return 1;
-    }
-    if (!smoke && hp.cores >= 2 && hp.speedup2 < 1.4) {
-        std::fprintf(stderr,
-                     "ERROR: host-parallel speedup %.2fx at 2 "
-                     "threads on a %u-thread host (budget: "
-                     ">=1.4x)\n",
-                     hp.speedup2, hp.cores);
-        return 1;
-    }
-
     vp::bench::header("adaptive load balancing (phase-skew, fine)");
-    AdaptiveRow ad = benchAdaptive(smoke);
+    AdaptiveRow ad = benchAdaptive(smoke, overheadReps);
     std::printf("  static (wrong)    %12.0f cycles\n"
                 "  adaptive          %12.0f cycles  gain=%.2fx  "
                 "moves=%.0f  reruns %s\n"
@@ -1431,27 +1288,6 @@ main(int argc, char** argv)
                      static_cast<unsigned long long>(sh.transfers),
                      sh.seconds, sh.conserved ? "true" : "false",
                      sh.deterministic ? "true" : "false");
-        std::fprintf(json,
-                     "  \"host_parallel\": {\"app\": \"%s\", "
-                     "\"devices\": 2, \"plan\": \"replicate\", "
-                     "\"hardware_threads\": %u, "
-                     "\"results_identical\": %s, "
-                     "\"speedup_2\": %.4f, \"speedup_4\": %.4f, "
-                     "\"sweep\": [",
-                     hp.app.c_str(), hp.cores,
-                     hp.identical ? "true" : "false", hp.speedup2,
-                     hp.speedup4);
-        for (std::size_t i = 0; i < hp.threads.size(); ++i)
-            std::fprintf(json,
-                         "{\"host_threads\": %d, \"seconds\": %.6f, "
-                         "\"events\": %llu, "
-                         "\"events_per_sec\": %.1f}%s",
-                         hp.threads[i], hp.seconds[i],
-                         static_cast<unsigned long long>(
-                             hp.events[i]),
-                         hp.eventsPerSec[i],
-                         i + 1 < hp.threads.size() ? ", " : "");
-        std::fprintf(json, "]},\n");
         std::fprintf(json,
                      "  \"adaptive\": {\"app\": \"phase-skew\", "
                      "\"static_cycles\": %.1f, "

@@ -3,6 +3,9 @@
 # rebuild the fault-injection/recovery subset under ASan+UBSan (the
 # tests carrying the ctest label `sanitize`) so the closure-heavy
 # runtime paths run with memory and UB checking on every change.
+# The ThreadSanitizer tier (ctest label `tsan`: the parallel tuner
+# sweep, whose worker threads run independent candidates) runs only
+# in CI's `tsan` job: `cmake --preset tsan`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

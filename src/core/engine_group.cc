@@ -15,7 +15,6 @@
 #include "core/engine.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <memory>
 #include <sstream>
@@ -23,8 +22,8 @@
 #include <vector>
 
 #include "common/logging.hh"
-#include "core/engine_group_internal.hh"
 #include "core/serve_hook.hh"
+#include "core/shard.hh"
 #include "gpu/device_group.hh"
 
 namespace vp {
@@ -36,9 +35,85 @@ Engine::Engine(DeviceGroupConfig group)
     group_ = std::move(group);
 }
 
-using groupdetail::mergeRunnerResult;
+/**
+ * Friend of Seeder: builds the routed seeders of a sharded run.
+ * Pinned stages seed straight to their home device; replicated
+ * stages hash each item over the group (shardSeedDevice), which is
+ * the only point where replicated work is distributed — intermediate
+ * outputs stay on the producing device for locality.
+ */
+class GroupCoordinator
+{
+  public:
+    static void
+    seedAll(AppDriver& driver, Pipeline& pipe,
+            std::vector<std::unique_ptr<RunnerBase>>& runners,
+            const ShardPlan& plan, PendingCounter& pending,
+            ProvenanceTracker* prov)
+    {
+        int n = static_cast<int>(runners.size());
+        for (int f = 0; f < driver.flowCount(); ++f) {
+            Seeder seeder;
+            seeder.pipe_ = &pipe;
+            seeder.prov_ = prov;
+            seeder.noteSeeded_ = [&pending](int stage, int items) {
+                (void)stage;
+                pending.add(items);
+            };
+            seeder.route_ = [&runners, &plan,
+                             n](int stage, int ordinal) -> QueueBase& {
+                int home = plan.homeDevice(stage);
+                int dev = home >= 0
+                    ? home
+                    : shardSeedDevice(stage, ordinal, n);
+                return runners[static_cast<std::size_t>(dev)]
+                    ->deliveryQueue(
+                        stage, static_cast<std::uint64_t>(ordinal));
+            };
+            driver.seedFlow(seeder, f);
+        }
+    }
+};
 
 namespace {
+
+/** Fold runner @p ri's collected stats into @p merged. */
+void
+mergeRunnerResult(RunResult& merged, const RunResult& ri)
+{
+    for (std::size_t s = 0; s < merged.stages.size(); ++s) {
+        StageRunStats& a = merged.stages[s];
+        const StageRunStats& b = ri.stages[s];
+        a.items += b.items;
+        a.batches += b.batches;
+        a.warpInsts += b.warpInsts;
+        a.execCycles += b.execCycles;
+        a.retried += b.retried;
+        a.deadLettered += b.deadLettered;
+        a.queue.pushes += b.queue.pushes;
+        a.queue.pops += b.queue.pops;
+        a.queue.maxDepth = std::max(a.queue.maxDepth,
+                                    b.queue.maxDepth);
+        a.queue.opCycles += b.queue.opCycles;
+        a.queue.contentionCycles += b.queue.contentionCycles;
+    }
+    merged.polls += ri.polls;
+    merged.retreats += ri.retreats;
+    merged.refills += ri.refills;
+
+    merged.faults.taskFaults += ri.faults.taskFaults;
+    merged.faults.tasksRetried += ri.faults.tasksRetried;
+    merged.faults.deadLettered += ri.faults.deadLettered;
+    merged.faults.droppedPushes += ri.faults.droppedPushes;
+    merged.faults.corruptedPushes += ri.faults.corruptedPushes;
+    merged.faults.slowdowns += ri.faults.slowdowns;
+    merged.faults.backpressureWaits += ri.faults.backpressureWaits;
+    merged.faults.degradeRelaunches += ri.faults.degradeRelaunches;
+    merged.faults.launchDelays += ri.faults.launchDelays;
+    merged.faults.smsFailed += ri.faults.smsFailed;
+    merged.faults.smsDegraded += ri.faults.smsDegraded;
+    merged.faults.blocksEvicted += ri.faults.blocksEvicted;
+}
 
 /**
  * Coordinator-side failover bookkeeping of one sharded run. Armed
@@ -116,23 +191,6 @@ Engine::runShardedTimed(AppDriver& driver,
     int n = gcfg.size();
 
     Pipeline& pipe = driver.pipeline();
-    // Timed runs (the tuner's candidate sweep) compare cycle counts
-    // across configs, and the conserving tier is fingerprint- but not
-    // cycle-identical to this loop; pinned plans under a finite limit
-    // therefore stay serial so the sweep's winner is reproducible at
-    // any hostThreads. Untimed pinned runs keep the conserving tier.
-    bool cycleExact = !plan.anyPinned();
-    // Provenance recording is single-threaded host state (one
-    // tracker, one id sequence); armed runs stay on the serial loop.
-    // Serving runs stay serial too: the session's epoch boundaries
-    // and the provenance tracker they ride are single-threaded host
-    // state (and serving always arms provenance anyway).
-    if (groupdetail::hostParallelEligible(gcfg, n, pipe, config, plan,
-                                          plan_)
-        && (cycleExact || std::isinf(cycleLimit))
-        && !(obsCfg_ && obsCfg_->provenance) && !serve_)
-        return runShardedParallel(driver, config, plan, cycleLimit);
-
     pipe.validate();
     for (const DeviceConfig& dcfg : gcfg.devices)
         config.validate(pipe, dcfg);

@@ -57,18 +57,6 @@ Histogram::add(double v)
     acc_.add(v);
 }
 
-void
-Histogram::merge(const Histogram& other)
-{
-    VP_ASSERT(lo_ == other.lo_ && growth_ == other.growth_,
-              "merging histograms with different bucket geometry");
-    if (other.buckets_.size() > buckets_.size())
-        buckets_.resize(other.buckets_.size(), 0);
-    for (std::size_t i = 0; i < other.buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    acc_.merge(other.acc_);
-}
-
 double
 Histogram::percentile(double p) const
 {

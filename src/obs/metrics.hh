@@ -64,14 +64,6 @@ class Histogram
 
     void add(double v);
 
-    /**
-     * Fold @p other into this histogram. Requires identical bucket
-     * geometry (lo, growth) so counts can be added bucket-wise; the
-     * host-parallel group loop uses this to merge per-device shards
-     * into the run's single reported histogram.
-     */
-    void merge(const Histogram& other);
-
     /** Index of the bucket @p v falls in. */
     std::size_t bucketIndex(double v) const;
     /** Inclusive upper bound of bucket @p i. */

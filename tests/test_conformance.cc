@@ -152,59 +152,6 @@ TEST_P(Conformance, TwoDeviceShardsMatchSingleDevice)
     EXPECT_GE(covered, 2) << GetParam();
 }
 
-// Host-parallel conformance: driving a 2-device group with two host
-// threads (one event loop per device, conservative lookahead
-// windows) reproduces the serial group loop's fingerprint under
-// every default shard plan. Parallelism must change wall-clock time
-// only — never what work happens.
-TEST_P(Conformance, HostParallelShardsMatchSerial)
-{
-    DeviceConfig dev = DeviceConfig::byName("gtx1080");
-    auto app = makeApp(GetParam(), AppScale::Small);
-    Pipeline& pipe = app->pipeline();
-    Engine serial(DeviceGroupConfig::homogeneous(dev, 2));
-    Engine parallel(DeviceGroupConfig::homogeneous(dev, 2));
-    parallel.setHostThreads(2);
-
-    int covered = 0;
-    for (auto& [label, cfg] : allModels(pipe, dev)) {
-        if (cfg.top != PipelineConfig::Top::Groups)
-            continue;
-        for (const ShardPlan& plan :
-             defaultShardPlans(cfg, pipe, 2)) {
-            RunResult r1 = serial.runSharded(*app, cfg, plan);
-            ASSERT_TRUE(r1.completed)
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << ": " << r1.failureReason;
-            RunResult r2 = parallel.runSharded(*app, cfg, plan);
-            ASSERT_TRUE(r2.completed)
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << ": " << r2.failureReason;
-            EXPECT_EQ(fingerprint(r2), fingerprint(r1))
-                << GetParam() << "/" << label << "/"
-                << plan.describe() << "\n got "
-                << describeFp(fingerprint(r2)) << "\nwant "
-                << describeFp(fingerprint(r1));
-            // Replicated plans take the exact tier: the merged
-            // schedule is the serial one, event for event.
-            if (!plan.anyPinned()) {
-                EXPECT_EQ(r2.simEvents, r1.simEvents)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
-                EXPECT_EQ(r2.cycles, r1.cycles)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
-                EXPECT_EQ(r2.polls, r1.polls)
-                    << GetParam() << "/" << label << "/"
-                    << plan.describe();
-            }
-            ++covered;
-        }
-    }
-    // Megakernel (x2) always shards under replicate at minimum.
-    EXPECT_GE(covered, 2) << GetParam();
-}
-
 INSTANTIATE_TEST_SUITE_P(Apps, Conformance,
                          ::testing::Values("pyramid", "facedetect",
                                            "reyes", "cfd", "raster",

@@ -2,8 +2,10 @@
  * @file
  * Multi-device sharding tests: plan construction/validation, group
  * determinism, exact work conservation against single-device runs,
- * cross-device transfer accounting, multi-device speedup, and fault
- * recovery (an SM kill on one device must not wedge the group).
+ * cross-device transfer accounting, multi-device speedup, fault
+ * recovery (an SM kill on one device must not wedge the group),
+ * online adaptation and observability on a group, and the tuner's
+ * shard-plan sweep.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +13,8 @@
 #include "apps/registry.hh"
 #include "core/engine.hh"
 #include "core/shard.hh"
+#include "obs/obs.hh"
+#include "tuner/offline_tuner.hh"
 
 using namespace vp;
 
@@ -287,4 +291,113 @@ TEST(Shard, FaultPlanTargetingDeviceOneIsRejectedSingleDevice)
     Engine single(DeviceConfig::byName("gtx1080"));
     single.setFaultPlan(fp);
     EXPECT_THROW(single.run(*app, cfg), FatalError);
+}
+
+// A megakernel has one group, so round-robin pinning homes all of
+// it on device 0; the group must still finish, conserve work
+// against a single device, and rerun bit-identically.
+TEST(Shard, PinnedMegakernelPlansConserveAndRerunIdentically)
+{
+    for (const std::string app : {"raster", "pyramid"}) {
+        auto driver = makeApp(app, AppScale::Small);
+        PipelineConfig cfg = makeMegakernelConfig(driver->pipeline());
+        ShardPlan plan =
+            ShardPlan::pinnedRoundRobin(cfg, driver->pipeline(), 2);
+
+        Engine single(DeviceConfig::byName("gtx1080"));
+        RunResult r1 = single.run(*driver, cfg);
+        ASSERT_TRUE(r1.completed) << app;
+
+        Engine group(twoGtx1080());
+        RunResult a = group.runSharded(*driver, cfg, plan);
+        RunResult b = group.runSharded(*driver, cfg, plan);
+        ASSERT_TRUE(a.completed) << app << ": " << a.failureReason;
+        ASSERT_TRUE(b.completed) << app << ": " << b.failureReason;
+        EXPECT_EQ(stageItems(a), stageItems(r1)) << app;
+        EXPECT_EQ(a.cycles, b.cycles) << app;
+        EXPECT_EQ(a.simEvents, b.simEvents) << app;
+        EXPECT_EQ(a.polls, b.polls) << app;
+        EXPECT_EQ(a.interconnect.delivered, a.interconnect.transfers)
+            << app;
+    }
+}
+
+// Online adaptation reads the group-wide pending counter from the
+// kernel-completion hook; a sharded run that arms it must finish and
+// process exactly the work of an unadapted run.
+TEST(Shard, OnlineAdaptationRunsSharded)
+{
+    auto app = makeApp("raster", AppScale::Small);
+    PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
+    ShardPlan plan = ShardPlan::replicateAll(app->pipeline());
+
+    Engine group(twoGtx1080());
+    RunResult plain = group.runSharded(*app, cfg, plan);
+    cfg.onlineAdaptation = true;
+    RunResult adapted = group.runSharded(*app, cfg, plan);
+    ASSERT_TRUE(plain.completed);
+    ASSERT_TRUE(adapted.completed) << adapted.failureReason;
+    EXPECT_EQ(stageItems(adapted), stageItems(plain));
+}
+
+// Observability on a group is passive: the observed run matches the
+// unobserved one in cycles and events, and carries trace events, a
+// sampled time-series and stage names.
+TEST(Shard, ObservedGroupRunIsPassive)
+{
+    auto run = [](bool observe) {
+        auto app = makeApp("raster", AppScale::Small);
+        PipelineConfig cfg = makeMegakernelConfig(app->pipeline());
+        ShardPlan plan = ShardPlan::replicateAll(app->pipeline());
+        Engine engine(twoGtx1080());
+        if (observe) {
+            ObsConfig oc;
+            oc.sampleIntervalCycles = 1000.0;
+            engine.setObservability(oc);
+        }
+        return engine.runSharded(*app, cfg, plan);
+    };
+    RunResult plain = run(false);
+    RunResult obs = run(true);
+    ASSERT_TRUE(plain.completed);
+    ASSERT_TRUE(obs.completed);
+    EXPECT_EQ(obs.cycles, plain.cycles);
+    EXPECT_EQ(obs.simEvents, plain.simEvents);
+    ASSERT_NE(obs.obs, nullptr);
+    EXPECT_GT(obs.obs->tracer.recorded(), 0u);
+    EXPECT_FALSE(obs.obs->sampler.series().empty());
+    EXPECT_FALSE(obs.obs->stageNames.empty());
+}
+
+// On a group engine the tuner sweeps shard plans as one more
+// dimension of each Groups candidate. Two sweeps pick the same
+// winner (config, plan, cycles), and the winner reruns to the same
+// cycle count.
+TEST(Shard, TunerGroupSweepIsDeterministic)
+{
+    TunerOptions opts;
+    opts.search.smCandidates = 2;
+    opts.search.blockCandidates = 2;
+    opts.search.maxConfigs = 24;
+
+    auto sweep = [&] {
+        auto app = makeApp("pyramid", AppScale::Small);
+        Engine engine(twoGtx1080());
+        return autotune(engine, *app, opts);
+    };
+    TunerResult a = sweep();
+    TunerResult b = sweep();
+    EXPECT_EQ(a.bestRun.cycles, b.bestRun.cycles);
+    EXPECT_EQ(a.bestRun.configName, b.bestRun.configName);
+    EXPECT_EQ(a.bestSharded, b.bestSharded);
+    EXPECT_EQ(a.bestPlan.describe(), b.bestPlan.describe());
+    EXPECT_EQ(a.evaluated, b.evaluated);
+
+    auto app = makeApp("pyramid", AppScale::Small);
+    Engine engine(twoGtx1080());
+    RunResult rerun = a.bestSharded
+        ? engine.runSharded(*app, a.best, a.bestPlan)
+        : engine.run(*app, a.best);
+    ASSERT_TRUE(rerun.completed);
+    EXPECT_EQ(rerun.cycles, a.bestRun.cycles);
 }
