@@ -955,6 +955,7 @@ main(int argc, char** argv)
     rows.push_back(benchResched(engineEvents));
     rows.push_back(benchApp("pyramid", AppScale::Small, reps));
     if (!smoke) {
+        rows.push_back(benchApp("facedetect", AppScale::Full, reps));
         rows.push_back(benchApp("raster", AppScale::Full, reps));
         rows.push_back(benchApp("reyes", AppScale::Full, reps));
         rows.push_back(benchApp("ldpc", AppScale::Full, reps));

@@ -220,11 +220,34 @@ FdFeature::execute(ExecContext& ctx, FdItem& item)
     GrayImage& dst = app_.lbp_[item.image][item.level];
     if (dst.width() == 0)
         dst = GrayImage(src.width(), src.height());
+    const int w = src.width();
+    const int h = src.height();
     int y0 = item.a * app_.params_.bandRows;
-    int y1 = std::min(src.height(), y0 + app_.params_.bandRows);
-    for (int y = y0; y < y1; ++y)
-        for (int x = 0; x < src.width(); ++x)
-            dst.at(x, y) = lbpCode(src, x, y);
+    int y1 = std::min(h, y0 + app_.params_.bandRows);
+    for (int y = y0; y < y1; ++y) {
+        if (y == 0 || y == h - 1) {
+            for (int x = 0; x < w; ++x)
+                dst.at(x, y) = lbpCode(src, x, y);
+            continue;
+        }
+        // Interior pixels need no clamping: read the three rows
+        // directly, in lbpCode's neighbor order.
+        const std::uint8_t* mid =
+            src.pixels().data() + static_cast<std::size_t>(y) * w;
+        const std::uint8_t* up = mid - w;
+        const std::uint8_t* down = mid + w;
+        std::uint8_t* out = &dst.at(0, y);
+        out[0] = lbpCode(src, 0, y);
+        for (int x = 1; x < w - 1; ++x) {
+            const std::uint8_t c = mid[x];
+            out[x] = static_cast<std::uint8_t>(
+                (up[x - 1] >= c) | ((up[x] >= c) << 1)
+                | ((up[x + 1] >= c) << 2) | ((mid[x + 1] >= c) << 3)
+                | ((down[x + 1] >= c) << 4) | ((down[x] >= c) << 5)
+                | ((down[x - 1] >= c) << 6) | ((mid[x - 1] >= c) << 7));
+        }
+        out[w - 1] = lbpCode(src, w - 1, y);
+    }
 
     // Join: once the level's codes are complete, emit one scan item
     // per search window (paper: the load-balance choice).
@@ -276,6 +299,10 @@ FaceDetectApp::FaceDetectApp(FdParams params)
 {
     VP_REQUIRE(params_.images > 0 && params_.width >= 2
                * params_.window, "bad face-detection parameters");
+    VP_REQUIRE(params_.window >= 2 && params_.stride > 0
+               && params_.bandRows > 0,
+               "bad face-detection parameters: window must be >= 2, "
+               "stride and bandRows > 0");
     pipe_.addStage<FdGrayscale>(*this);
     pipe_.addStage<FdHistEq>(*this);
     pipe_.addStage<FdResize>(*this);
@@ -289,6 +316,18 @@ FaceDetectApp::FaceDetectApp(FdParams params)
     pipe_.link<FdFeature, FdScan>();
     pipe_.setStructure(PipelineStructure::Recursion);
     pipe_.megakernelExtraRegs = 18; // 69 + 18 = 87 (paper sec 8.3)
+
+    // Fixed integer ring offsets from the window corner (no trig for
+    // determinism), stage-major.
+    const int w = params_.window;
+    for (int stage = 0; stage < kCascadeStages; ++stage) {
+        int radius = 2 + stage;
+        for (int k = 0; k < kRingSamples; ++k) {
+            int ox = ((k * 2 + stage) % w - w / 2) * radius / (w / 2);
+            int oy = ((k * 5 + 3) % w - w / 2) * radius / (w / 2);
+            ring_.push_back(RingOffset{w / 2 + ox, w / 2 + oy});
+        }
+    }
 
     Rng face_rng(params_.seed * 7919);
     for (int i = 0; i < params_.images; ++i) {
@@ -343,22 +382,16 @@ int
 FaceDetectApp::cascadeDepth(const FdItem& item) const
 {
     const GrayImage& codes = lbp_[item.image][item.level];
-    const int w = params_.window;
     // Each cascade stage samples 16 LBP codes from a ring at growing
     // radius and requires enough uniform patterns. The planted face
     // pattern (high-contrast frame) yields uniform codes; texture
     // noise rarely does for all rings.
+    const RingOffset* ring = ring_.data();
     for (int stage = 0; stage < kCascadeStages; ++stage) {
-        int radius = 2 + stage;
         int hits = 0;
-        for (int k = 0; k < 16; ++k) {
-            // Fixed integer ring offsets (no trig for determinism).
-            int ox = ((k * 2 + stage) % w - w / 2) * radius / (w / 2);
-            int oy = ((k * 5 + 3) % w - w / 2) * radius / (w / 2);
-            int x = std::clamp(item.a + w / 2 + ox, 0,
-                               codes.width() - 1);
-            int y = std::clamp(item.b + w / 2 + oy, 0,
-                               codes.height() - 1);
+        for (int k = 0; k < kRingSamples; ++k, ++ring) {
+            int x = std::clamp(item.a + ring->x, 0, codes.width() - 1);
+            int y = std::clamp(item.b + ring->y, 0, codes.height() - 1);
             if (uniform(codes.at(x, y)))
                 ++hits;
         }

@@ -157,6 +157,7 @@ class FaceDetectApp : public AppDriver
     int cascadeDepth(const FdItem& item) const;
 
     static constexpr int kCascadeStages = 8;
+    static constexpr int kRingSamples = 16; //!< LBP codes per stage
 
   private:
     friend class FdGrayscale;
@@ -165,8 +166,16 @@ class FaceDetectApp : public AppDriver
     friend class FdFeature;
     friend class FdScan;
 
+    /** A cascade sample position relative to the window corner. */
+    struct RingOffset
+    {
+        int x, y;
+    };
+
     FdParams params_;
     Pipeline pipe_;
+    /** kRingSamples offsets per cascade stage, stage-major. */
+    std::vector<RingOffset> ring_;
 
     std::vector<RgbImage> inputs_;
     std::vector<GrayImage> gray_;

@@ -159,6 +159,7 @@ LdpcApp::LdpcApp(LdpcParams params)
     : params_(params)
 {
     VP_REQUIRE(params_.n > 0 && params_.varDeg > 0
+               && params_.checkDeg > 0
                && (params_.n * params_.varDeg) % params_.checkDeg
                       == 0,
                "bad LDPC parameters: edges must divide evenly into "
@@ -222,18 +223,29 @@ LdpcApp::doC2v(std::vector<float>& v2c, std::vector<float>& c2v)
     for (int c = 0; c < checks_; ++c) {
         int base = c * dc;
         // Min-sum: per output edge, product of signs and min of
-        // magnitudes over the other edges.
-        for (int k = 0; k < dc; ++k) {
-            float sign = 1.0f;
-            float mag = 1e30f;
-            for (int j = 0; j < dc; ++j) {
-                if (j == k)
-                    continue;
-                float m = v2c[base + j];
-                sign *= (m < 0.0f) ? -1.0f : 1.0f;
-                mag = std::min(mag, std::fabs(m));
+        // magnitudes over the other edges. The min over the others
+        // is the second-smallest magnitude at the argmin edge and
+        // the smallest everywhere else.
+        float sign = 1.0f;
+        float min1 = 1e30f, min2 = 1e30f;
+        int argmin = -1;
+        for (int j = 0; j < dc; ++j) {
+            float m = v2c[base + j];
+            sign *= (m < 0.0f) ? -1.0f : 1.0f;
+            float mag = std::fabs(m);
+            if (mag < min1) {
+                min2 = min1;
+                min1 = mag;
+                argmin = j;
+            } else if (mag < min2) {
+                min2 = mag;
             }
-            c2v[base + k] = 0.8f * sign * mag; // normalized min-sum
+        }
+        for (int k = 0; k < dc; ++k) {
+            // Dividing out edge k's own sign is exact for +-1.
+            float own = (v2c[base + k] < 0.0f) ? -1.0f : 1.0f;
+            float mag = k == argmin ? min2 : min1;
+            c2v[base + k] = 0.8f * (sign * own) * mag; // normalized
         }
     }
 }

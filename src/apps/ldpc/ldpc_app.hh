@@ -111,6 +111,12 @@ class LdpcApp : public AppDriver
     /** Frames whose decoded word matched the transmitted word. */
     int correctedFrames() const;
 
+    /** Per-frame hard decisions of the last run. */
+    const std::vector<std::vector<std::uint8_t>>& decodedWords() const
+    {
+        return decoded_;
+    }
+
     /** Edges in the Tanner graph. */
     int edges() const { return params_.n * params_.varDeg; }
 

@@ -132,7 +132,8 @@ RShadeStage::execute(ExecContext&, RasterItem& item)
 RasterApp::RasterApp(RasterParams params)
     : params_(params)
 {
-    VP_REQUIRE(params_.cubes > 0, "bad raster parameters");
+    VP_REQUIRE(params_.cubes > 0 && params_.tile > 0,
+               "bad raster parameters: cubes and tile must be > 0");
     pipe_.addStage<ClipStage>(*this);
     pipe_.addStage<InterpolateStage>(*this);
     pipe_.addStage<RShadeStage>(*this);
@@ -247,10 +248,17 @@ RasterApp::shadeTriTile(int tri, int tx, int ty,
     if (area <= 0.0)
         return;
 
-    int px0 = tx * params_.tile;
-    int py0 = ty * params_.tile;
-    int px1 = std::min(params_.width, px0 + params_.tile);
-    int py1 = std::min(params_.height, py0 + params_.tile);
+    // Visit only the tile's pixels inside the triangle's bounding
+    // box, padded by one pixel so no center the edge tests would
+    // accept is left out.
+    int px0 = std::max(tx * params_.tile,
+                       int(std::floor(std::min({x0, x1, x2}))) - 1);
+    int py0 = std::max(ty * params_.tile,
+                       int(std::floor(std::min({y0, y1, y2}))) - 1);
+    int px1 = std::min({params_.width, (tx + 1) * params_.tile,
+                        int(std::ceil(std::max({x0, x1, x2}))) + 1});
+    int py1 = std::min({params_.height, (ty + 1) * params_.tile,
+                        int(std::ceil(std::max({y0, y1, y2}))) + 1});
     for (int y = py0; y < py1; ++y) {
         for (int x = px0; x < px1; ++x) {
             double cx = x + 0.5, cy = y + 0.5;

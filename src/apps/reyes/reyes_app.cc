@@ -134,24 +134,33 @@ DiceStage::execute(ExecContext& ctx, PatchItem& item)
     int g = app_.params_.grid + 1;
     ReyesApp::Grid grid;
     grid.pts.resize(static_cast<std::size_t>(g) * g * 3);
+    // Evaluate rows in u, then the column in v. The row curves
+    // depend only on the grid column i, so evaluate them once per
+    // column: cols[(i * 3 + c) * 4 + row].
+    std::vector<float> cols(static_cast<std::size_t>(g) * 3 * 4);
+    for (int i = 0; i < g; ++i) {
+        float u = float(i) / (g - 1);
+        for (int c = 0; c < 3; ++c) {
+            for (int row = 0; row < 4; ++row) {
+                float rowpts[4] = {
+                    item.cp[row * 4 + 0][c],
+                    item.cp[row * 4 + 1][c],
+                    item.cp[row * 4 + 2][c],
+                    item.cp[row * 4 + 3][c],
+                };
+                cols[(static_cast<std::size_t>(i) * 3 + c) * 4 + row] =
+                    evalCubic(rowpts, 1, u);
+            }
+        }
+    }
     for (int j = 0; j < g; ++j) {
         float v = float(j) / (g - 1);
         for (int i = 0; i < g; ++i) {
-            float u = float(i) / (g - 1);
             for (int c = 0; c < 3; ++c) {
-                // Evaluate rows in u, then the column in v.
-                float col[4];
-                for (int row = 0; row < 4; ++row) {
-                    float rowpts[4] = {
-                        item.cp[row * 4 + 0][c],
-                        item.cp[row * 4 + 1][c],
-                        item.cp[row * 4 + 2][c],
-                        item.cp[row * 4 + 3][c],
-                    };
-                    col[row] = evalCubic(rowpts, 1, u);
-                }
                 grid.pts[(static_cast<std::size_t>(j) * g + i) * 3
-                         + c] = evalCubic(col, 1, v);
+                         + c] = evalCubic(
+                    &cols[(static_cast<std::size_t>(i) * 3 + c) * 4],
+                    1, v);
             }
         }
     }

@@ -2,10 +2,14 @@
  * @file
  * Application tests: item-size invariants from Table 2, per-app
  * structural properties, and correctness of each application under
- * the baseline and VersaPipe execution models (small scale).
+ * the baseline and VersaPipe execution models (small scale), and
+ * pinned hashes of the app payload outputs.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
 
 #include "apps/cfd/cfd_app.hh"
 #include "apps/facedetect/facedetect_app.hh"
@@ -52,6 +56,27 @@ TEST(Apps, Table1StageCountsAndStructures)
 TEST(Apps, RegistryRejectsUnknownName)
 {
     EXPECT_THROW(makeApp("doom"), FatalError);
+}
+
+TEST(Apps, RejectsParametersTheKernelsDivideBy)
+{
+    ldpc::LdpcParams lp = ldpc::LdpcParams::small();
+    lp.checkDeg = 0;
+    EXPECT_THROW(ldpc::LdpcApp{lp}, FatalError);
+
+    raster::RasterParams rp = raster::RasterParams::small();
+    rp.tile = 0;
+    EXPECT_THROW(raster::RasterApp{rp}, FatalError);
+
+    facedetect::FdParams window = facedetect::FdParams::small();
+    window.window = 1;
+    EXPECT_THROW(facedetect::FaceDetectApp{window}, FatalError);
+    facedetect::FdParams stride = facedetect::FdParams::small();
+    stride.stride = 0;
+    EXPECT_THROW(facedetect::FaceDetectApp{stride}, FatalError);
+    facedetect::FdParams band = facedetect::FdParams::small();
+    band.bandRows = 0;
+    EXPECT_THROW(facedetect::FaceDetectApp{band}, FatalError);
 }
 
 TEST(Apps, PyramidProducesVerifiedLevels)
@@ -234,3 +259,149 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("pyramid", "facedetect", "reyes", "cfd",
                           "raster", "ldpc"),
         ::testing::Range(0, 5)));
+
+// Payload outputs pinned bit for bit. Raster's, Reyes's and LDPC's
+// verify() references call the kernels they check, and the golden
+// corpus pins only cycles and counts, so these hashes are what catch
+// an execute() rewrite that changes one pixel, detection or bit.
+// Values were captured before the payload fast paths went in.
+namespace {
+
+/** Word-wise FNV-1a. */
+struct Fnv1a
+{
+    std::uint64_t h = 1469598103934665603ULL;
+
+    void
+    add(std::uint64_t v)
+    {
+        h ^= v;
+        h *= 1099511628211ULL;
+    }
+};
+
+void
+runKbk(AppDriver& app)
+{
+    Engine engine(DeviceConfig::k20c());
+    auto r = engine.run(app, makeKbkConfig());
+    ASSERT_TRUE(r.completed) << app.name();
+}
+
+std::uint64_t
+rasterHash(const raster::RasterParams& p)
+{
+    raster::RasterApp app(p);
+    runKbk(app);
+    Fnv1a f;
+    for (std::uint64_t v : app.framebuffer())
+        f.add(v);
+    return f.h;
+}
+
+std::uint64_t
+reyesHash(const reyes::ReyesParams& p)
+{
+    reyes::ReyesApp app(p);
+    runKbk(app);
+    Fnv1a f;
+    for (std::uint32_t v : app.framebuffer())
+        f.add(v);
+    return f.h;
+}
+
+std::uint64_t
+faceHash(const facedetect::FdParams& p)
+{
+    facedetect::FaceDetectApp app(p);
+    runKbk(app);
+    std::vector<facedetect::Detection> got = app.detections();
+    std::sort(got.begin(), got.end());
+    Fnv1a f;
+    for (const auto& [image, level, x, y] : got) {
+        f.add(static_cast<std::uint64_t>(image));
+        f.add(static_cast<std::uint64_t>(level));
+        f.add(static_cast<std::uint64_t>(x));
+        f.add(static_cast<std::uint64_t>(y));
+    }
+    f.add(got.size());
+    return f.h;
+}
+
+std::uint64_t
+ldpcHash(const ldpc::LdpcParams& p)
+{
+    ldpc::LdpcApp app(p);
+    runKbk(app);
+    Fnv1a f;
+    for (const std::vector<std::uint8_t>& word : app.decodedWords())
+        for (std::uint8_t bit : word)
+            f.add(bit);
+    return f.h;
+}
+
+template <typename Params>
+Params
+smallWithSeed(std::uint64_t seed)
+{
+    Params p = Params::small();
+    p.seed = seed;
+    return p;
+}
+
+} // namespace
+
+TEST(PayloadOutputs, RasterFramebuffer)
+{
+    const std::uint64_t want[5] = {
+        3962126505579608637ULL, 10093926659686453679ULL,
+        3199854284587154002ULL, 1966902080614850348ULL,
+        17097179070226978335ULL,
+    };
+    for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(rasterHash(smallWithSeed<raster::RasterParams>(s)),
+                  want[s]) << "seed " << s;
+    }
+    EXPECT_EQ(rasterHash(raster::RasterParams{}),
+              8773085677300369898ULL)
+        << "default full-scale input";
+}
+
+TEST(PayloadOutputs, ReyesFramebuffer)
+{
+    const std::uint64_t want[5] = {
+        11688882779590190739ULL, 6057353236749159389ULL,
+        7215524202224484410ULL, 15610197499000721735ULL,
+        13184012864246451143ULL,
+    };
+    for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(reyesHash(smallWithSeed<reyes::ReyesParams>(s)),
+                  want[s]) << "seed " << s;
+    }
+}
+
+TEST(PayloadOutputs, FaceDetectDetections)
+{
+    const std::uint64_t want[5] = {
+        4596382874156629480ULL, 9901871328977699609ULL,
+        18382529819067628895ULL, 6454779011999775074ULL,
+        7321104727358092424ULL,
+    };
+    for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(faceHash(smallWithSeed<facedetect::FdParams>(s)),
+                  want[s]) << "seed " << s;
+    }
+}
+
+TEST(PayloadOutputs, LdpcDecodedWords)
+{
+    const std::uint64_t want[5] = {
+        13143632523545585224ULL, 3363395198111314822ULL,
+        9991944601179100035ULL, 14584801607583808344ULL,
+        757381579646210517ULL,
+    };
+    for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(ldpcHash(smallWithSeed<ldpc::LdpcParams>(s)),
+                  want[s]) << "seed " << s;
+    }
+}
