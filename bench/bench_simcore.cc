@@ -93,6 +93,49 @@ struct ReschedChain
     }
 };
 
+/**
+ * Idle poller like GroupsRunner::blockLoop: fixed-delay backoff of
+ * 150, 225, 337.5, then 450 cycles through Simulator::afterFixed.
+ * Every 16th poll finds work and runs a heap-scheduled batch before
+ * the backoff restarts; every 64th wakes another poller, cancelling
+ * its pending event.
+ */
+struct Poller
+{
+    Simulator* sim;
+    std::uint64_t* budget;
+    std::vector<Poller>* all;
+    EventHandle pending;
+    Tick backoff;
+    std::uint32_t polls;
+    int id;
+
+    void
+    step()
+    {
+        if (*budget == 0)
+            return;
+        --*budget;
+        ++polls;
+        if (polls % 16 == 0) {
+            backoff = 150.0;
+            pending = sim->after(40.0 + (id & 7), [this] { step(); });
+            return;
+        }
+        if (polls % 64 == 1) {
+            Poller& other = (*all)[(id * 7 + polls) % all->size()];
+            if (&other != this) {
+                sim->cancel(other.pending);
+                other.backoff = 150.0;
+                other.pending = sim->afterFixed(
+                    other.backoff, [o = &other] { o->step(); });
+            }
+        }
+        pending = sim->afterFixed(backoff, [this] { step(); });
+        backoff = std::min(backoff * 1.5, 450.0);
+    }
+};
+
 Row
 benchChain(std::uint64_t events)
 {
@@ -127,6 +170,30 @@ benchResched(std::uint64_t events)
     sim.run();
     Row r;
     r.name = "engine/resched";
+    r.seconds = secondsSince(t0);
+    r.events = sim.eventsRun();
+    r.eventsPerSec = r.events / r.seconds;
+    return r;
+}
+
+Row
+benchPoll(std::uint64_t events)
+{
+    Simulator sim;
+    std::uint64_t budget = events;
+    // All 60 start together: their polls fire in exact-time tie
+    // groups, ordered by sequence number.
+    std::vector<Poller> pollers(60);
+    for (int i = 0; i < 60; ++i) {
+        pollers[i] = Poller{&sim, &budget, &pollers, EventHandle{},
+                            150.0, 0, i};
+        pollers[i].pending =
+            sim.after(0.0, [p = &pollers[i]] { p->step(); });
+    }
+    auto t0 = Clock::now();
+    sim.run();
+    Row r;
+    r.name = "engine/poll";
     r.seconds = secondsSince(t0);
     r.events = sim.eventsRun();
     r.eventsPerSec = r.events / r.seconds;
@@ -953,6 +1020,7 @@ main(int argc, char** argv)
     std::vector<Row> rows;
     rows.push_back(benchChain(engineEvents));
     rows.push_back(benchResched(engineEvents));
+    rows.push_back(benchPoll(engineEvents));
     rows.push_back(benchApp("pyramid", AppScale::Small, reps));
     if (!smoke) {
         rows.push_back(benchApp("facedetect", AppScale::Full, reps));

@@ -100,17 +100,17 @@ referenceHistEq(const GrayImage& src)
         if (cdf_min == 0 && run > 0)
             cdf_min = run;
     }
-    std::uint64_t total = src.pixels().size();
+    std::uint64_t denom = src.pixels().size() - cdf_min;
+    // One division per gray level, not per pixel. Levels absent from
+    // the image get an unused (wrapped) entry.
+    std::uint8_t lut[256];
+    for (int i = 0; i < 256; ++i)
+        lut[i] = denom == 0
+            ? static_cast<std::uint8_t>(i)
+            : static_cast<std::uint8_t>((cdf[i] - cdf_min) * 255 / denom);
     GrayImage out(src.width(), src.height());
-    for (std::size_t i = 0; i < src.pixels().size(); ++i) {
-        std::uint64_t c = cdf[src.pixels()[i]];
-        std::uint64_t denom = total - cdf_min;
-        std::uint8_t v = denom == 0
-            ? src.pixels()[i]
-            : static_cast<std::uint8_t>(
-                  (c - cdf_min) * 255 / denom);
-        out.pixels()[i] = v;
-    }
+    for (std::size_t i = 0; i < src.pixels().size(); ++i)
+        out.pixels()[i] = lut[src.pixels()[i]];
     return out;
 }
 

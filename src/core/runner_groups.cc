@@ -334,7 +334,7 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
                 += pollBackoff;
         Tick next_backoff = std::min(
             pollBackoff * 1.5, dev_.config().pollIntervalCycles * 3.0);
-        ctx.delay(pollBackoff, [this, &ctx, specIdx, next_backoff] {
+        ctx.poll(pollBackoff, [this, &ctx, specIdx, next_backoff] {
             blockLoop(ctx, specIdx, next_backoff);
         });
         return;

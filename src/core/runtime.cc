@@ -668,8 +668,8 @@ RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
                                 static_cast<std::int16_t>(
                                     trackBase_ + cp->smId()),
                                 sim_.now(), o.stage);
-                        cp->delay(dev_.config().pollIntervalCycles,
-                                  [self] { self->tryCommit(); });
+                        cp->poll(dev_.config().pollIntervalCycles,
+                                 [self] { self->tryCommit(); });
                         return;
                     }
                 }

@@ -42,13 +42,26 @@ BlockContext::exec(const WorkSpec& work, EventFn cb)
 }
 
 void
-BlockContext::delay(Tick cycles, EventFn cb)
+BlockContext::beginWait(EventFn cb)
 {
-    VP_ASSERT(!exited_, "delay() on an exited block");
+    VP_ASSERT(!exited_, "delay() or poll() on an exited block");
     VP_ASSERT(!busy_, "block already has an operation outstanding");
     busy_ = true;
     cont_ = std::move(cb);
+}
+
+void
+BlockContext::delay(Tick cycles, EventFn cb)
+{
+    beginWait(std::move(cb));
     pendingEvent_ = sim().after(cycles, [this] { complete(); });
+}
+
+void
+BlockContext::poll(Tick cycles, EventFn cb)
+{
+    beginWait(std::move(cb));
+    pendingEvent_ = sim().afterFixed(cycles, [this] { complete(); });
 }
 
 void

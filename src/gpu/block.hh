@@ -4,10 +4,10 @@
  *
  * A block drives itself in continuation-passing style: exec() submits
  * work to the SM's processor-sharing engine, delay() models fixed-cost
- * actions (queue operations, polling), and exit() retires the block
- * and frees its SM resources. All continuations are trampolined
- * through the simulator's event loop, so there is no recursion-depth
- * concern.
+ * actions (queue operations), poll() idle and retry waits, and exit()
+ * retires the block and frees its SM resources. All continuations
+ * are trampolined through the simulator's event loop, so there is no
+ * recursion-depth concern.
  */
 
 #ifndef VP_GPU_BLOCK_HH
@@ -58,6 +58,14 @@ class BlockContext
     /** Busy-occupy the block for @p cycles, then invoke @p cb. */
     void delay(Tick cycles, EventFn cb);
 
+    /**
+     * delay() for waits whose length comes from a small fixed set
+     * (idle-poll backoff, backpressure retry): the wake-up goes on a
+     * simulator delay lane (Simulator::afterFixed). Same timing and
+     * event order as delay().
+     */
+    void poll(Tick cycles, EventFn cb);
+
     /** Retire the block, freeing its SM resources. */
     void exit();
 
@@ -72,6 +80,9 @@ class BlockContext
 
     /** Finish the outstanding operation and run its continuation. */
     void complete();
+
+    /** Claim the block for one delay()/poll() with continuation @p cb. */
+    void beginWait(EventFn cb);
 
     /**
      * Tear the block down after an SM failure: cancel the pending

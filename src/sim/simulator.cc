@@ -32,6 +32,15 @@ Simulator::freeSlot(std::uint32_t idx)
     freeHead_ = idx;
 }
 
+std::uint64_t
+Simulator::takeSeq()
+{
+    std::uint64_t seq = nextSeq_++;
+    VP_ASSERT(seq < (std::uint64_t(1) << (64 - kSlotBits)),
+              "event sequence space exhausted");
+    return seq;
+}
+
 void
 Simulator::heapPush(HeapEntry e)
 {
@@ -105,11 +114,8 @@ Simulator::at(Tick when, EventFn fn)
     Slot& s = slab_[idx];
     s.fn = std::move(fn);
     std::uint32_t gen = s.gen;
-    std::uint64_t seq = nextSeq_++;
-    VP_ASSERT(seq < (std::uint64_t(1) << (64 - kSlotBits)),
-              "event sequence space exhausted");
     heapPush(HeapEntry{when > now_ ? when : now_,
-                       (seq << kSlotBits) | idx});
+                       (takeSeq() << kSlotBits) | idx});
     return EventHandle(idx, gen);
 }
 
@@ -118,6 +124,93 @@ Simulator::after(Tick delay, EventFn fn)
 {
     VP_ASSERT(delay >= 0.0, "negative delay " << delay);
     return at(now_ + delay, std::move(fn));
+}
+
+void
+Simulator::Lane::push(HeapEntry e)
+{
+    if (count == ring.size()) {
+        std::vector<HeapEntry> grown(ring.empty() ? 16
+                                                  : 2 * ring.size());
+        for (std::uint32_t i = 0; i < count; ++i)
+            grown[i] = ring[(head + i) & mask()];
+        ring = std::move(grown);
+        head = 0;
+    }
+    ring[(head + count) & mask()] = e;
+    ++count;
+}
+
+Simulator::Lane*
+Simulator::laneFor(Tick delay, Tick when)
+{
+    Lane* empty = nullptr;
+    for (std::uint32_t i = 0; i < laneCount_; ++i) {
+        Lane& lane = lanes_[i];
+        if (lane.delay == delay) {
+            // advanceTo() tolerates a pending event up to 1e-9 before
+            // its target, so the clock can step back by that much;
+            // never let such an entry break the lane's order.
+            if (lane.count && when < lane.back().when)
+                return nullptr;
+            return &lane;
+        }
+        if (!empty && lane.count == 0)
+            empty = &lane;
+    }
+    // Reuse a drained lane before opening one: fewer lanes to scan.
+    if (!empty && laneCount_ < kMaxLanes)
+        empty = &lanes_[laneCount_++];
+    if (empty)
+        empty->delay = delay;
+    return empty;
+}
+
+EventHandle
+Simulator::afterFixed(Tick delay, EventFn fn)
+{
+    VP_ASSERT(delay >= 0.0, "negative delay " << delay);
+    Tick when = now_ + delay;
+    VP_ASSERT(std::isfinite(when), "event time must be finite");
+    Lane* lane = laneFor(delay, when);
+    if (!lane)
+        return at(when, std::move(fn));
+    std::uint32_t idx = allocSlot();
+    Slot& s = slab_[idx];
+    s.fn = std::move(fn);
+    s.heapPos = kLaneBase + static_cast<std::uint32_t>(lane - lanes_);
+    HeapEntry e{when, (takeSeq() << kSlotBits) | idx};
+    // Only a lane's first entry can become the earliest lane head.
+    if (lane->count == 0 && firesBefore(e, laneTop_)) {
+        laneTop_ = e;
+        laneMin_ = static_cast<std::uint32_t>(lane - lanes_);
+    }
+    lane->push(e);
+    ++laneLive_;
+    return EventHandle(idx, s.gen);
+}
+
+void
+Simulator::dropDeadHeads(Lane& lane)
+{
+    while (lane.count
+           && slab_[lane.front().slot()].heapPos == kTombstone) {
+        freeSlot(lane.front().slot());
+        lane.pop();
+    }
+}
+
+void
+Simulator::refreshLaneTop()
+{
+    laneTop_ = kNoEntry;
+    for (std::uint32_t i = 0; i < laneCount_; ++i) {
+        const Lane& lane = lanes_[i];
+        if (lane.count && firesBefore(lane.front(), laneTop_)) {
+            laneTop_ = lane.front();
+            laneMin_ = i;
+        }
+    }
 }
 
 void
@@ -130,28 +223,61 @@ Simulator::cancel(EventHandle h)
     // and the slot may belong to someone else now.
     if (s.gen != h.gen_ || s.heapPos == kNotQueued)
         return;
-    heapRemove(s.heapPos);
+    if (s.heapPos < kLaneBase) {
+        heapRemove(s.heapPos);
+        freeSlot(h.slot_);
+        return;
+    }
+    std::uint32_t li = s.heapPos - kLaneBase;
+    Lane& lane = lanes_[li];
+    --laneLive_;
+    if (lane.front().slot() != h.slot_) {
+        // Mid-lane: leave a tombstone for dropDeadHeads. Bumping the
+        // generation makes this handle stale right away.
+        s.fn.reset();
+        ++s.gen;
+        s.heapPos = kTombstone;
+        return;
+    }
+    lane.pop();
     freeSlot(h.slot_);
+    dropDeadHeads(lane);
+    if (li == laneMin_)
+        refreshLaneTop();
 }
 
 void
 Simulator::dispatchNext()
 {
-    std::uint32_t idx = heap_[0].slot();
-    now_ = heap_[0].when;
+    if (!heap_.empty() && !firesBefore(laneTop_, heap_[0])) {
+        std::uint32_t idx = heap_[0].slot();
+        now_ = heap_[0].when;
+        ++eventsRun_;
+        EventFn fn = std::move(slab_[idx].fn);
+        heapRemove(0);
+        // Recycle before firing: the callback may schedule new
+        // events, which can then reuse this slot immediately.
+        freeSlot(idx);
+        fn();
+        return;
+    }
+    Lane& lane = lanes_[laneMin_];
+    std::uint32_t idx = lane.front().slot();
+    now_ = lane.front().when;
     ++eventsRun_;
+    --laneLive_;
     EventFn fn = std::move(slab_[idx].fn);
-    heapRemove(0);
-    // Recycle before firing: the callback may schedule new events,
-    // which can then reuse this slot immediately.
+    lane.pop();
     freeSlot(idx);
+    dropDeadHeads(lane);
+    refreshLaneTop();
     fn();
 }
 
 Tick
 Simulator::run()
 {
-    while (!heap_.empty() && !stop_)
+    while (!idle() && !stop_)
         dispatchNext();
     return now_;
 }
@@ -160,12 +286,12 @@ bool
 Simulator::runUntil(Tick timeLimit, std::uint64_t eventLimit)
 {
     std::uint64_t start = eventsRun_;
-    while (!heap_.empty()) {
+    while (!idle()) {
         if (stop_)
             return false;
         if (eventsRun_ - start >= eventLimit)
             return false;
-        if (heap_[0].when > timeLimit)
+        if (nextEntry().when > timeLimit)
             return false;
         dispatchNext();
     }
@@ -177,9 +303,9 @@ Simulator::advanceTo(Tick t)
 {
     if (!(t > now_))
         return;
-    VP_ASSERT(heap_.empty() || heap_[0].when + 1e-9 >= t,
+    VP_ASSERT(idle() || nextEntry().when + 1e-9 >= t,
               "advanceTo(" << t << ") would skip an event at "
-                           << heap_[0].when);
+                           << nextEntry().when);
     now_ = t;
 }
 
@@ -187,7 +313,7 @@ bool
 Simulator::runBounded(std::uint64_t limit)
 {
     std::uint64_t start = eventsRun_;
-    while (!heap_.empty()) {
+    while (!idle()) {
         if (stop_)
             return false;
         if (eventsRun_ - start >= limit)

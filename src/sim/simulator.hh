@@ -15,6 +15,22 @@
  * is detected by a counter compare, never a lookup — and callbacks
  * are stored in EventFn, a move-only function whose inline buffer
  * fits every hot-path continuation without touching the allocator.
+ *
+ * Beside the heap sit a few FIFO delay lanes for fixed-delay waits
+ * (afterFixed: idle polls and retry backoff, almost every event of a
+ * lightly loaded persistent-block run). A lane holds the events
+ * scheduled with one exact delay d. Each gets when = now + d with a
+ * clock that never runs backwards, and the next sequence number, so
+ * appending keeps the lane sorted by (time, seq) and its head is its
+ * minimum: push and pop are O(1), no sift. Dispatch compares the heap
+ * top with the earliest lane head (cached, refreshed only when a lane
+ * head leaves) and fires whichever comes first, so the global order
+ * is exactly the heap-only order. Lanes are opt-in: keying them off
+ * every after() lets one-off delays (launch and start latencies) fill
+ * the table and push the polls back into the heap. A cancelled lane
+ * entry that is not at its lane's head becomes a tombstone (its slot
+ * stays off the freelist and is recycled when the entry reaches the
+ * head); heap entries are still removed eagerly.
  */
 
 #ifndef VP_SIM_SIMULATOR_HH
@@ -22,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -232,6 +249,15 @@ class Simulator
      */
     EventHandle after(Tick delay, EventFn fn);
 
+    /**
+     * Schedule @p fn to run @p delay cycles from now, like after(),
+     * for waits whose delay comes from a small fixed set (idle polls,
+     * retry backoff). The event goes on the FIFO lane for @p delay;
+     * when every lane is taken by another delay it goes on the heap.
+     * Either way it fires in the same (time, seq) order as after().
+     */
+    EventHandle afterFixed(Tick delay, EventFn fn);
+
     /** Cancel a previously scheduled event; no-op if already run. */
     void cancel(EventHandle h);
 
@@ -264,7 +290,11 @@ class Simulator
     std::uint64_t eventsRun() const { return eventsRun_; }
 
     /** Number of events currently pending. */
-    std::size_t pendingEvents() const { return heap_.size(); }
+    std::size_t
+    pendingEvents() const
+    {
+        return heap_.size() + laneLive_;
+    }
 
     /**
      * Ask the run loop to return after the current event. Used by the
@@ -287,7 +317,10 @@ class Simulator
         EventFn fn;
         /** Bumped on recycle; stale EventHandles mismatch. */
         std::uint32_t gen = 0;
-        /** Position in heap_, or kNotQueued. */
+        /**
+         * Position in heap_, kLaneBase + lane index for a lane entry,
+         * kTombstone for a cancelled lane entry, or kNotQueued.
+         */
         std::uint32_t heapPos = kNotQueued;
         /** Next free slot when on the freelist. */
         std::uint32_t nextFree = EventHandle::kNone;
@@ -314,16 +347,53 @@ class Simulator
         }
     };
 
+    /**
+     * FIFO of the events scheduled with one delay, in a power-of-two
+     * ring so a lane that never drains (a steady poller) reuses its
+     * storage. count includes tombstones; the head is always live.
+     */
+    struct Lane
+    {
+        Tick delay = 0.0;
+        std::vector<HeapEntry> ring;
+        std::uint32_t head = 0;
+        std::uint32_t count = 0;
+
+        std::uint32_t
+        mask() const
+        {
+            return static_cast<std::uint32_t>(ring.size() - 1);
+        }
+        const HeapEntry& front() const { return ring[head]; }
+        const HeapEntry&
+        back() const
+        {
+            return ring[(head + count - 1) & mask()];
+        }
+        void push(HeapEntry e);
+        void
+        pop()
+        {
+            head = (head + 1) & mask();
+            --count;
+        }
+    };
+
     /** Low bits of HeapEntry::seqSlot hold the slab slot. */
     static constexpr std::uint64_t kSlotBits = 20;
     static constexpr std::uint64_t kSlotMask =
         (std::uint64_t(1) << kSlotBits) - 1;
 
     static constexpr std::uint32_t kNotQueued = 0xffffffffu;
+    static constexpr std::uint32_t kTombstone = 0xfffffffeu;
+    static constexpr std::uint32_t kLaneBase = 0xffffff00u;
 
     /** Heap arity: 4-ary halves the depth vs. binary and keeps a
      *  node's children in exactly one cache line. */
     static constexpr std::uint32_t kArity = 4;
+
+    /** Lane cap: the runner's poll backoff uses four delays. */
+    static constexpr std::uint32_t kMaxLanes = 8;
 
     static bool
     firesBefore(const HeapEntry& a, const HeapEntry& b)
@@ -333,12 +403,31 @@ class Simulator
         return a.seqSlot < b.seqSlot;
     }
 
+    /** Sorts after every real event: laneTop_ while no lane has one. */
+    static constexpr HeapEntry kNoEntry = {
+        std::numeric_limits<Tick>::infinity(), ~std::uint64_t(0)};
+
+    bool idle() const { return heap_.empty() && laneLive_ == 0; }
+
+    /** Key of the next event to fire; requires !idle(). */
+    const HeapEntry&
+    nextEntry() const
+    {
+        if (heap_.empty() || firesBefore(laneTop_, heap_[0]))
+            return laneTop_;
+        return heap_[0];
+    }
+
     std::uint32_t allocSlot();
     void freeSlot(std::uint32_t idx);
+    std::uint64_t takeSeq();
     void heapPush(HeapEntry e);
     void heapRemove(std::uint32_t pos);
     void siftUp(std::uint32_t pos);
     void siftDown(std::uint32_t pos);
+    Lane* laneFor(Tick delay, Tick when);
+    void dropDeadHeads(Lane& lane);
+    void refreshLaneTop();
     void dispatchNext();
 
     Tick now_ = 0.0;
@@ -353,6 +442,14 @@ class Simulator
      * probe, and the extra depth taxes all sifts.
      */
     std::vector<HeapEntry> heap_;
+    Lane lanes_[kMaxLanes];
+    std::uint32_t laneCount_ = 0;
+    /** Live (not cancelled) events over all lanes. */
+    std::size_t laneLive_ = 0;
+    /** Earliest lane head, or kNoEntry when every lane is empty. */
+    HeapEntry laneTop_ = kNoEntry;
+    /** Lane whose head is laneTop_. */
+    std::uint32_t laneMin_ = 0;
     std::uint32_t freeHead_ = EventHandle::kNone;
     bool stop_ = false;
 };

@@ -260,11 +260,13 @@ INSTANTIATE_TEST_SUITE_P(
                           "raster", "ldpc"),
         ::testing::Range(0, 5)));
 
-// Payload outputs pinned bit for bit. Raster's, Reyes's and LDPC's
-// verify() references call the kernels they check, and the golden
-// corpus pins only cycles and counts, so these hashes are what catch
-// an execute() rewrite that changes one pixel, detection or bit.
-// Values were captured before the payload fast paths went in.
+// Payload outputs pinned bit for bit. Raster's, Reyes's, LDPC's and
+// pyramid's verify() references call the kernels they check, and the
+// golden corpus pins only cycles and counts, so these hashes are what
+// catch an execute() rewrite that changes one pixel, detection or bit.
+// Values were captured before the payload fast paths went in;
+// pyramid's (every level of every image) before referenceHistEq
+// switched to a lookup table.
 namespace {
 
 /** Word-wise FNV-1a. */
@@ -340,6 +342,22 @@ ldpcHash(const ldpc::LdpcParams& p)
     return f.h;
 }
 
+std::uint64_t
+pyramidHash(const pyramid::PyrParams& p)
+{
+    pyramid::PyramidApp app(p);
+    runKbk(app);
+    Fnv1a f;
+    for (const std::vector<GrayImage>& levels : app.result())
+        for (const GrayImage& level : levels) {
+            f.add(static_cast<std::uint64_t>(level.width()));
+            f.add(static_cast<std::uint64_t>(level.height()));
+            for (std::uint8_t v : level.pixels())
+                f.add(v);
+        }
+    return f.h;
+}
+
 template <typename Params>
 Params
 smallWithSeed(std::uint64_t seed)
@@ -402,6 +420,19 @@ TEST(PayloadOutputs, LdpcDecodedWords)
     };
     for (int s = 0; s < 5; ++s) {
         EXPECT_EQ(ldpcHash(smallWithSeed<ldpc::LdpcParams>(s)),
+                  want[s]) << "seed " << s;
+    }
+}
+
+TEST(PayloadOutputs, PyramidLevels)
+{
+    const std::uint64_t want[5] = {
+        6024633580772991206ULL, 13897266778722805339ULL,
+        9262330583698769321ULL, 10103208542282147514ULL,
+        14800538352598940005ULL,
+    };
+    for (int s = 0; s < 5; ++s) {
+        EXPECT_EQ(pyramidHash(smallWithSeed<pyramid::PyrParams>(s)),
                   want[s]) << "seed " << s;
     }
 }

@@ -7,10 +7,16 @@
 
 #include <algorithm>
 #include <array>
+#include <exception>
 #include <functional>
+#include <iterator>
 #include <limits>
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
+#include "common/rng.hh"
 #include "sim/simulator.hh"
 
 using namespace vp;
@@ -287,4 +293,295 @@ TEST(Simulator, DeterministicAcrossRuns)
         return times;
     };
     EXPECT_EQ(trace(), trace());
+}
+
+// ------------- delay lanes vs. a (when, seq) reference ------------ //
+
+namespace {
+
+/**
+ * Drives a Simulator and a reference model — a std::set ordered by
+ * (when, seq) — through one PCG32-seeded random program: at(),
+ * after() and afterFixed() calls (more fixed delays than there are
+ * lanes, offsets drawn from the same values so lane and heap events
+ * tie exactly), cancels of the next event, of random live events and
+ * of stale handles, runBounded/runUntil limits, advanceTo hops
+ * (legal, within the 1e-9 tolerance, and illegal) and requestStop.
+ * Callbacks schedule and cancel too. Every dispatch is checked
+ * against the reference minimum, and the clock, event count and
+ * pendingEvents() after every step.
+ */
+class LaneProgram
+{
+  public:
+    explicit LaneProgram(std::uint64_t seed) : seed_(seed), rng_(seed)
+    {}
+
+    void
+    run()
+    {
+        for (int step = 0; step < 400 && ok_; ++step) {
+            topLevelStep();
+            checkState("after step " + std::to_string(step));
+        }
+        while (ok_ && !ref_.empty()) {
+            sim_.clearStop();
+            sim_.run();
+            checkState("final drain");
+        }
+        if (ok_ && sim_.pendingEvents() != 0)
+            fail("events left after drain");
+    }
+
+    std::uint64_t fired() const { return fired_; }
+
+  private:
+    struct Ev
+    {
+        EventHandle handle;
+        Tick when;
+        std::uint64_t seq;
+        bool live;
+    };
+    using Key = std::tuple<Tick, std::uint64_t, std::size_t>;
+
+    /** Fixed delays: twelve values for eight lanes. */
+    static constexpr double kDelays[12] = {
+        4.5, 3.0, 1.5, 0.0, 6.75, 2.0, 1.0, 9.0, 0.5, 7.0, 12.0, 2.5,
+    };
+
+    void
+    fail(const std::string& what)
+    {
+        if (ok_)
+            ADD_FAILURE() << "seed " << seed_ << ": " << what;
+        ok_ = false;
+    }
+
+    void
+    checkState(const std::string& where)
+    {
+        if (sim_.now() != now_)
+            fail(where + ": clock " + std::to_string(sim_.now())
+                 + " vs reference " + std::to_string(now_));
+        if (sim_.pendingEvents() != ref_.size())
+            fail(where + ": pendingEvents "
+                 + std::to_string(sim_.pendingEvents()) + " vs "
+                 + std::to_string(ref_.size()));
+        if (sim_.eventsRun() != fired_)
+            fail(where + ": eventsRun mismatch");
+    }
+
+    double
+    pickDelay()
+    {
+        // Skewed towards the first four, like the runner's backoff.
+        std::uint32_t r = rng_.nextBelow(16);
+        return kDelays[r < 8 ? r % 4 : r - 4];
+    }
+
+    void
+    schedule()
+    {
+        std::size_t id = evs_.size();
+        std::uint64_t seq = ++seq_;
+        double d = pickDelay();
+        Tick when = now_ + d;
+        EventHandle h;
+        auto fn = [this, id] { onFire(id); };
+        switch (rng_.nextBelow(4)) {
+        case 0:
+            // at(), now and then a hair in the past (clamped to now).
+            if (rng_.nextBelow(8) == 0) {
+                h = sim_.at(now_ - 5e-10, fn);
+                when = now_;
+            } else {
+                h = sim_.at(when, fn);
+            }
+            break;
+        case 1:
+            h = sim_.after(d, fn);
+            break;
+        default:
+            h = sim_.afterFixed(d, fn);
+            break;
+        }
+        evs_.push_back(Ev{h, when, seq, true});
+        ref_.insert(Key{when, seq, id});
+    }
+
+    void
+    cancel(std::size_t id)
+    {
+        sim_.cancel(evs_[id].handle);
+        if (evs_[id].live) {
+            ref_.erase(Key{evs_[id].when, evs_[id].seq, id});
+            evs_[id].live = false;
+        }
+    }
+
+    void
+    cancelSomething()
+    {
+        if (evs_.empty())
+            return;
+        switch (rng_.nextBelow(3)) {
+        case 0: // the next event: a lane head or the heap top
+            if (!ref_.empty())
+                cancel(std::get<2>(*ref_.begin()));
+            break;
+        case 1: { // a random pending event, often mid-lane
+            if (ref_.empty())
+                break;
+            auto it = ref_.begin();
+            std::advance(it, rng_.nextBelow(
+                                 static_cast<std::uint32_t>(ref_.size())));
+            cancel(std::get<2>(*it));
+            break;
+        }
+        default: // any handle ever issued; most are stale by now
+            cancel(rng_.nextBelow(
+                static_cast<std::uint32_t>(evs_.size())));
+            break;
+        }
+    }
+
+    void
+    onFire(std::size_t id)
+    {
+        if (!ok_)
+            return;
+        if (ref_.empty()) {
+            fail("dispatch of " + std::to_string(id)
+                 + " with the reference empty");
+            return;
+        }
+        auto [when, seq, want] = *ref_.begin();
+        if (id != want || sim_.now() != when) {
+            fail("dispatched event " + std::to_string(id) + " at "
+                 + std::to_string(sim_.now()) + ", reference expects "
+                 + std::to_string(want) + " at "
+                 + std::to_string(when));
+            return;
+        }
+        if (when > timeLimit_)
+            fail("dispatch beyond the runUntil time limit");
+        ref_.erase(ref_.begin());
+        evs_[id].live = false;
+        now_ = when;
+        ++fired_;
+        checkState("in callback " + std::to_string(id));
+        // Callbacks keep the program going (0.7 new events each, on
+        // average, so it stays finite) and cancel now and then.
+        std::uint32_t r = rng_.nextBelow(20);
+        if (r < 10)
+            schedule();
+        if (r < 4)
+            schedule();
+        if (r == 18)
+            cancelSomething();
+        if (r == 19)
+            sim_.requestStop();
+    }
+
+    void
+    topLevelStep()
+    {
+        std::uint32_t op = rng_.nextBelow(12);
+        if (op < 4) {
+            for (std::uint32_t n = 1 + rng_.nextBelow(4); n; --n)
+                schedule();
+        } else if (op < 6) {
+            cancelSomething();
+        } else if (op < 8) {
+            std::uint64_t limit = 1 + rng_.nextBelow(20);
+            std::uint64_t before = fired_;
+            sim_.clearStop();
+            bool drained = sim_.runBounded(limit);
+            if (drained != ref_.empty())
+                fail("runBounded's result disagrees with the queue");
+            if (!drained && !sim_.stopRequested()
+                && fired_ - before != limit)
+                fail("runBounded stopped early");
+        } else if (op < 10) {
+            std::uint64_t limit = 1 + rng_.nextBelow(30);
+            timeLimit_ = now_ + pickDelay() + pickDelay();
+            std::uint64_t before = fired_;
+            sim_.clearStop();
+            bool drained = sim_.runUntil(timeLimit_, limit);
+            if (drained != ref_.empty())
+                fail("runUntil's result disagrees with the queue");
+            if (!drained && !sim_.stopRequested()
+                && fired_ - before != limit
+                && !(std::get<0>(*ref_.begin()) > timeLimit_))
+                fail("runUntil stopped early");
+            timeLimit_ = std::numeric_limits<Tick>::infinity();
+        } else if (op == 10) {
+            advance();
+        } else {
+            sim_.clearStop();
+            sim_.run();
+        }
+    }
+
+    void
+    advance()
+    {
+        Tick next = ref_.empty() ? now_ + pickDelay() + 1.0
+                                 : std::get<0>(*ref_.begin());
+        Tick t = next; // exact tie with the next event
+        switch (rng_.nextBelow(4)) {
+        case 0:
+            break;
+        case 1:
+            t = next + 5e-10; // inside the tolerance
+            break;
+        case 2:
+            if (!ref_.empty()) {
+                // Must see the combined minimum and refuse.
+                try {
+                    sim_.advanceTo(next + 1.0);
+                    fail("advanceTo skipped a pending event");
+                } catch (const PanicError&) {
+                }
+                return;
+            }
+            [[fallthrough]];
+        default:
+            t = now_ + (next - now_) * rng_.nextDouble();
+            break;
+        }
+        sim_.advanceTo(t);
+        if (t > now_)
+            now_ = t;
+    }
+
+    std::uint64_t seed_;
+    Rng rng_;
+    Simulator sim_;
+    std::set<Key> ref_;
+    std::vector<Ev> evs_;
+    std::uint64_t seq_ = 0;
+    std::uint64_t fired_ = 0;
+    Tick now_ = 0.0;
+    Tick timeLimit_ = std::numeric_limits<Tick>::infinity();
+    bool ok_ = true;
+};
+
+} // namespace
+
+TEST(Simulator, DelayLanesMatchTimeSeqReference)
+{
+    std::uint64_t total = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        LaneProgram prog(seed);
+        try {
+            prog.run();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << ": " << e.what();
+        }
+        total += prog.fired();
+    }
+    // The programs must actually dispatch a meaningful amount.
+    EXPECT_GT(total, 20000u);
 }
