@@ -144,8 +144,8 @@ class Pipeline
   private:
     /**
      * Rebuild the per-stage mask caches when the graph changed.
-     * producersOf/ancestorsOf sit on the runners' polling fast path,
-     * so they must not re-walk the edge list on every call.
+     * producersOf sits on every batch's locality check, so it must
+     * not re-walk the edge list on every call.
      */
     void refreshMasks() const;
 

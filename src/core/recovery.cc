@@ -43,6 +43,7 @@ RecoveryManager::init(Simulator* sim, const RecoveryConfig* cfg,
     sim_ = sim;
     cfg_ = cfg;
     buffered_.assign(static_cast<std::size_t>(stageCount), 0);
+    totalBuffered_ = 0;
     redeliveries_ = 0;
 }
 
@@ -54,10 +55,12 @@ RecoveryManager::scheduleRedeliver(
     VP_ASSERT(sim_ && cfg_, "RecoveryManager used before init()");
     VP_ASSERT(count > 0 && redeliver, "empty redelivery batch");
     buffered_[static_cast<std::size_t>(stage)] += count;
+    totalBuffered_ += count;
     sim_->after(
         cfg_->backoffFor(std::max<std::uint32_t>(tries, 1)),
         [this, stage, q, fn = std::move(redeliver), count] {
             buffered_[static_cast<std::size_t>(stage)] -= count;
+            totalBuffered_ -= count;
             ++redeliveries_;
             if (tracer_)
                 tracer_->instant(TraceKind::Redeliver, 0,
@@ -67,15 +70,6 @@ RecoveryManager::scheduleRedeliver(
             if (onRedelivered_)
                 onRedelivered_(stage);
         });
-}
-
-std::int64_t
-RecoveryManager::totalBuffered() const
-{
-    std::int64_t t = 0;
-    for (std::int64_t b : buffered_)
-        t += b;
-    return t;
 }
 
 } // namespace vp

@@ -141,7 +141,7 @@ class RecoveryManager
     }
 
     /** Items awaiting redelivery across all stages. */
-    std::int64_t totalBuffered() const;
+    std::int64_t totalBuffered() const { return totalBuffered_; }
 
     /** Redelivery batches executed so far. */
     std::uint64_t redeliveries() const { return redeliveries_; }
@@ -179,6 +179,8 @@ class RecoveryManager
     Simulator* sim_ = nullptr;
     const RecoveryConfig* cfg_ = nullptr;
     std::vector<std::int64_t> buffered_;
+    /** Sum of buffered_, kept alongside it. */
+    std::int64_t totalBuffered_ = 0;
     std::uint64_t redeliveries_ = 0;
     std::function<void(int)> onRedelivered_;
     std::function<QueueBase*(int)> redirect_;

@@ -92,6 +92,15 @@ void
 GroupsRunner::buildGroupSpecs(std::size_t g)
 {
     builtGroups_[g] = 1;
+    // Poll-path masks are computed once per spec: blockLoop tests
+    // them instead of walking the stages and their ancestors.
+    auto addSpec = [this](KernelSpec spec) {
+        for (int s : spec.stages) {
+            spec.stageMask |= StageMask(1) << s;
+            spec.futureMask |= (StageMask(1) << s) | pipe_.ancestorsOf(s);
+        }
+        specs_.push_back(std::move(spec));
+    };
     {
         const StageGroup& grp = cfg_.groups[g];
         auto configured_blocks = [&](int key) {
@@ -117,7 +126,7 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
                 spec.blocksPerSm = std::max(1, want);
                 spec.groupIdx = static_cast<int>(g);
                 spec.fine = true;
-                specs_.push_back(std::move(spec));
+                addSpec(std::move(spec));
             }
         } else {
             // RTC or Megakernel: one kernel for the whole group.
@@ -157,7 +166,7 @@ GroupsRunner::buildGroupSpecs(std::size_t g)
             VP_REQUIRE(want > 0, "group kernel `" << spec.name
                        << "` cannot be launched: zero occupancy");
             spec.blocksPerSm = want;
-            specs_.push_back(std::move(spec));
+            addSpec(std::move(spec));
         }
     }
 }
@@ -259,7 +268,7 @@ GroupsRunner::serveWake()
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         if (specLiveKernels_[i] > 0)
             continue;
-        if (!anyFutureWork(specs_[i].stages))
+        if (!futureWork(specs_[i].futureMask))
             continue;
         launchSpec(static_cast<int>(i), specs_[i].sms, false);
     }
@@ -316,7 +325,7 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
             return;
         }
     }
-    if (!anyFutureWork(spec.stages)) {
+    if (!futureWork(spec.futureMask)) {
         // This stage group has fully drained: retire the block.
         auto key = std::make_pair(specIdx, ctx.smId());
         --blockCount_[key];
@@ -324,8 +333,12 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
         ctx.exit();
         return;
     }
+    // Nothing queued for this spec anywhere on the device: findWork
+    // could only come back empty-handed.
     QueueSet* qs = nullptr;
-    int s = findWork(ctx.smId(), spec.stages, qs);
+    int s = (queuedMask_ & spec.stageMask)
+        ? findWork(ctx.smId(), spec.stages, qs)
+        : -1;
     if (s < 0) {
         // Upstream still working: poll with exponential backoff.
         ++polls_;
@@ -371,7 +384,7 @@ GroupsRunner::onSmFailed(int sm)
     // what brings their stages back to life.
     for (std::size_t i = 0; i < specs_.size(); ++i) {
         const KernelSpec& spec = specs_[i];
-        if (!anyFutureWork(spec.stages))
+        if (!futureWork(spec.futureMask))
             continue;
         std::vector<int> sms;
         for (int bound : spec.sms)
@@ -495,7 +508,7 @@ GroupsRunner::adaptEpoch()
         l.depth = adaptDepth(t);
         l.blocks = spec.blocksPerSm;
         l.group = spec.groupIdx;
-        l.drained = !futureWorkPossible(spec.stages.front());
+        l.drained = !futureWork(spec.futureMask);
         // Occupancy: poll-wait cycles this spec's blocks burned
         // since the last epoch, normalised by the block-time the
         // epoch offered them.

@@ -1,6 +1,7 @@
 #include "core/runtime.hh"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -64,6 +65,8 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
         [this](BlockContext& ctx) { blockAborted(ctx); });
     dev_.setSmFailedHook([this](int sm) { smFailed(sm); });
 
+    // Sized once: every queue keeps a pointer into queuedCount_.
+    queuedCount_.assign(pipe_.stageCount(), 0);
     makeQueues(queues_);
     inFlight_.assign(pipe_.stageCount(), 0);
     stageStats_.resize(pipe_.stageCount());
@@ -76,7 +79,7 @@ RunnerBase::RunnerBase(Simulator& sim, Device& dev, Host& host,
 void
 RunnerBase::makeQueues(QueueSet& qs)
 {
-    qs.clear();
+    VP_ASSERT(qs.empty(), "makeQueues into a non-empty queue set");
     for (int s = 0; s < pipe_.stageCount(); ++s) {
         StageBase& st = pipe_.stage(s);
         bool remote = shard_ && shard_->plan
@@ -104,6 +107,7 @@ RunnerBase::makeQueues(QueueSet& qs)
             if (st.queueCapacity > 0)
                 qs.back()->setCapacity(st.queueCapacity);
         }
+        qs.back()->trackOccupancy(&queuedCount_[s], &queuedMask_, s);
         if (instrumentBatches_)
             qs.back()->enableRetryMeta();
         if (prov_)
@@ -162,31 +166,55 @@ RunnerBase::serveSeeder()
 bool
 RunnerBase::localWork(StageMask relevant) const
 {
-    for (int i = 0; i < pipe_.stageCount(); ++i) {
-        if (!(relevant & (StageMask(1) << i)))
-            continue;
-        if (inFlight_[i] > 0)
+    if ((queuedMask_ | inFlightMask_) & relevant)
+        return true;
+    if (recovery_.totalBuffered() == 0)
+        return false;
+    for (StageMask m = relevant; m; m &= m - 1)
+        if (recovery_.buffered(std::countr_zero(m)) > 0)
             return true;
-        if (!queues_[i]->empty())
-            return true;
-        if (recovery_.buffered(i) > 0)
-            return true;
-        for (const QueueSet* qs : extraQueueSets_)
-            if (!(*qs)[i]->empty())
-                return true;
-    }
     return false;
 }
 
 bool
-RunnerBase::futureWorkPossible(int s) const
+RunnerBase::futureWork(StageMask relevant) const
 {
-    StageMask relevant = pipe_.ancestorsOf(s) | (StageMask(1) << s);
     if (localWork(relevant))
         return true;
     // Sharded: a remote device running an ancestor stage — or an
     // item in flight on the interconnect — may still feed us.
     return shard_ && shard_->remoteWork && shard_->remoteWork(relevant);
+}
+
+void
+RunnerBase::checkWorkMasks() const
+{
+    StageMask queued = 0;
+    StageMask inFlight = 0;
+    std::int64_t buffered = 0;
+    for (int s = 0; s < pipe_.stageCount(); ++s) {
+        std::int32_t nonEmpty = !queues_[s]->empty();
+        for (const QueueSet* qs : extraQueueSets_)
+            nonEmpty += !(*qs)[s]->empty();
+        VP_ASSERT(nonEmpty == queuedCount_[s],
+                  "stage `" << pipe_.stage(s).name << "`: "
+                  << nonEmpty << " non-empty queues, occupancy count "
+                  << queuedCount_[s]);
+        if (nonEmpty > 0)
+            queued |= StageMask(1) << s;
+        if (inFlight_[s] > 0)
+            inFlight |= StageMask(1) << s;
+        buffered += recovery_.buffered(s);
+    }
+    VP_ASSERT(queued == queuedMask_, "queued mask " << queuedMask_
+              << " disagrees with the queues (" << queued << ")");
+    VP_ASSERT(inFlight == inFlightMask_, "in-flight mask "
+              << inFlightMask_ << " disagrees with inFlight_ ("
+              << inFlight << ")");
+    VP_ASSERT(buffered == recovery_.totalBuffered(),
+              "recovery total " << recovery_.totalBuffered()
+              << " disagrees with the per-stage buffers ("
+              << buffered << ")");
 }
 
 std::uint64_t
@@ -248,15 +276,6 @@ void
 RunnerBase::adoptStages(const std::vector<int>& stages)
 {
     (void)stages;
-}
-
-bool
-RunnerBase::anyFutureWork(const std::vector<int>& stages) const
-{
-    for (int s : stages)
-        if (futureWorkPossible(s))
-            return true;
-    return false;
 }
 
 int
@@ -364,7 +383,7 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
                                trackBase_ + ctx.smId(), bstart);
     }
 
-    inFlight_[s] += br.items;
+    addInFlight(s, br.items);
     stageStats_[s].items += br.items;
     stageStats_[s].batches += 1;
     for (const auto& [inl, count] : ectx.inlineRuns()) {
@@ -438,7 +457,7 @@ RunnerBase::processBatch(BlockContext& ctx, QueueSet& qs, int s,
                     }
                     o.push(*(*qsp)[o.stage]);
                 }
-                inFlight_[s] -= items;
+                addInFlight(s, -items);
                 pendingPtr_->sub(items);
                 if (prov_)
                     for (std::uint64_t id : provIds)
@@ -535,7 +554,7 @@ RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
         return;
     }
 
-    inFlight_[s] += br.items;
+    addInFlight(s, br.items);
     stageStats_[s].items += br.items;
     for (const auto& [inl, count] : ectx.inlineRuns()) {
         stageStats_[inl].items += count;
@@ -686,7 +705,7 @@ RunnerBase::processBatchFI(BlockContext& ctx, QueueSet& qs, int s,
                     }
                     o.push(*(*qsp)[o.stage]);
                 }
-                inFlight_[s] -= items;
+                addInFlight(s, -items);
                 pendingPtr_->sub(items);
                 inFlightBatches_.erase(cp);
                 if (prov_)
@@ -713,7 +732,7 @@ RunnerBase::blockAborted(BlockContext& ctx)
     if (it != inFlightBatches_.end()) {
         InFlightBatch b = std::move(it->second);
         inFlightBatches_.erase(it);
-        inFlight_[b.stage] -= b.items;
+        addInFlight(b.stage, -b.items);
         if (b.capture) {
             // Retryable stage: replay the pre-execution copies.
             stageStats_[b.stage].retried += b.items;
@@ -814,6 +833,7 @@ RunnerBase::diagnoseStall() const
 RunResult
 RunnerBase::collect()
 {
+    checkWorkMasks();
     RunResult r;
     r.cycles = sim_.now();
     r.ms = dev_.config().cyclesToMs(r.cycles);

@@ -235,7 +235,9 @@ class RunnerBase
      * True when this runner holds work for any stage in @p relevant:
      * queued items, in-flight batches, or buffered retries. The
      * group coordinator queries it across devices to decide whether
-     * a remote device may still produce work.
+     * a remote device may still produce work. One AND against the
+     * occupancy masks; buffered retries are checked per stage only
+     * while the recovery manager holds any.
      */
     bool localWork(StageMask relevant) const;
 
@@ -359,13 +361,12 @@ class RunnerBase
     void seedFlow(AppDriver& driver, QueueSet& qs, int flow);
 
     /**
-     * True when stage @p s might still receive work: itself or any
-     * transitive producer has queued items or in-flight tasks.
+     * True when a stage in @p relevant might still hold or receive
+     * work: pass the stages plus their transitive producers. Sharded
+     * runs also ask the coordinator whether another device (or an
+     * in-flight transfer) may still feed them.
      */
-    bool futureWorkPossible(int s) const;
-
-    /** futureWorkPossible over a set of stages. */
-    bool anyFutureWork(const std::vector<int>& stages) const;
+    bool futureWork(StageMask relevant) const;
 
     /**
      * Choose the next stage to serve among @p stages (those with a
@@ -446,6 +447,38 @@ class RunnerBase
     /** Global trace-track offset of this device's SMs/stages. */
     int trackBase_ = 0;
     std::vector<std::int64_t> inFlight_;
+
+    /** @name Occupancy masks (poll path) @{
+     *
+     * Kept exact at every instant: the queues report their own
+     * empty <-> non-empty transitions (QueueBase::trackOccupancy)
+     * and every inFlight_ change goes through addInFlight. collect()
+     * rebuilds both masks from a full scan and asserts they agree.
+     */
+
+    /** Non-empty queues per stage over queues_ and every extra set. */
+    std::vector<std::int32_t> queuedCount_;
+    /** Bit s set while queuedCount_[s] > 0. */
+    StageMask queuedMask_ = 0;
+    /** Bit s set while inFlight_[s] > 0. */
+    StageMask inFlightMask_ = 0;
+
+    /** Move inFlight_[@p s] by @p d, keeping inFlightMask_ exact. */
+    void
+    addInFlight(int s, std::int64_t d)
+    {
+        inFlight_[s] += d;
+        if (inFlight_[s] > 0)
+            inFlightMask_ |= StageMask(1) << s;
+        else
+            inFlightMask_ &= ~(StageMask(1) << s);
+    }
+
+    /** Rebuild the masks from a full scan; assert they match. */
+    void checkWorkMasks() const;
+
+    /** @} */
+
     std::vector<StageRunStats> stageStats_;
     std::vector<std::vector<int>> stageKernels_;
 
@@ -554,6 +587,8 @@ class GroupsRunner : public RunnerBase
     {
         std::string name;
         std::vector<int> stages;  //!< stages this kernel serves
+        StageMask stageMask = 0;  //!< bits of stages
+        StageMask futureMask = 0; //!< stages plus their ancestors
         StageMask inlineMask = 0; //!< RTC groups: inlined stages
         ResourceUsage res;
         std::vector<int> sms;     //!< allowed SMs (empty = all)

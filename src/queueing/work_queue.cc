@@ -66,6 +66,8 @@ QueueBase::recordPush(std::size_t depthAfter)
 {
     ++stats_.pushes;
     stats_.maxDepth = std::max(stats_.maxDepth, depthAfter);
+    if (occCount_ && depthAfter == 1)
+        occupancyChanged(+1);
     if (ewmaEnabled_)
         depthEwma_ +=
             ewmaAlpha_ * (static_cast<double>(depthAfter) - depthEwma_);
@@ -88,9 +90,36 @@ QueueBase::recordPush(std::size_t depthAfter)
 }
 
 void
+QueueBase::trackOccupancy(std::int32_t* count, std::uint32_t* mask,
+                          int bit)
+{
+    VP_ASSERT(empty(), "queue `" << name_
+              << "`: occupancy tracking attached to a non-empty queue");
+    VP_ASSERT(bit >= 0 && bit < 32, "queue `" << name_
+              << "`: occupancy bit " << bit << " out of range");
+    occCount_ = count;
+    occMask_ = mask;
+    occBit_ = std::uint32_t(1) << bit;
+}
+
+void
+QueueBase::occupancyChanged(std::int32_t delta)
+{
+    *occCount_ += delta;
+    VP_ASSERT(*occCount_ >= 0, "queue `" << name_
+              << "`: occupancy count went negative");
+    if (*occCount_ > 0)
+        *occMask_ |= occBit_;
+    else
+        *occMask_ &= ~occBit_;
+}
+
+void
 QueueBase::recordPop(std::size_t depthAfter)
 {
     ++stats_.pops;
+    if (occCount_ && depthAfter == 0)
+        occupancyChanged(-1);
     if (ewmaEnabled_)
         depthEwma_ +=
             ewmaAlpha_ * (static_cast<double>(depthAfter) - depthEwma_);
@@ -119,6 +148,8 @@ void
 QueueBase::recordPops(std::uint64_t n, std::size_t depthAfter)
 {
     stats_.pops += n;
+    if (occCount_ && n > 0 && depthAfter == 0)
+        occupancyChanged(-1);
     if (ewmaEnabled_ && n > 0)
         depthEwma_ +=
             ewmaAlpha_ * (static_cast<double>(depthAfter) - depthEwma_);

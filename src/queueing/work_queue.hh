@@ -289,6 +289,20 @@ class QueueBase
 
     /** @} */
 
+    /**
+     * Occupancy for the runner's poll path: from now on every empty
+     * <-> non-empty transition moves @p count (non-empty queues of
+     * one stage; flow replicas and distributed shards share it) by
+     * one and keeps bit @p bit of @p mask equal to (count > 0), so
+     * the runner tests one AND instead of rescanning its queues.
+     * Both are never owned and must outlive the queue's last
+     * operation. The queue must be empty: its state so far was never
+     * counted. Detached (the default), the hot path pays one branch
+     * per bookkeeping call.
+     */
+    void trackOccupancy(std::int32_t* count, std::uint32_t* mask,
+                        int bit);
+
   protected:
     void recordPush(std::size_t depthAfter);
     void recordPop(std::size_t depthAfter);
@@ -296,12 +310,15 @@ class QueueBase
     /** Record @p n pops in one bookkeeping step (batch pop). */
     void recordPops(std::uint64_t n, std::size_t depthAfter);
 
-    /** Keep item metadata in sync with a clear() of the payload. */
+    /** Keep item metadata and occupancy in sync with a clear() of
+     *  @p depthBefore buffered items. */
     void
-    metaCleared()
+    recordClear(std::size_t depthBefore)
     {
         tries_.clear();
         ids_.clear();
+        if (occCount_ && depthBefore > 0)
+            occupancyChanged(-1);
     }
 
   private:
@@ -322,6 +339,9 @@ class QueueBase
 
     /** Append @p t to the access window, growing if full. */
     void pushRecent(Tick t);
+
+    /** Move the occupancy count by @p delta and refresh the bit. */
+    void occupancyChanged(std::int32_t delta);
 
     QueueStats stats_;
 
@@ -347,6 +367,9 @@ class QueueBase
     std::deque<std::uint64_t> ids_;
     /** Provenance ids of the last pop/popBatch (scratch, reused). */
     std::vector<std::uint64_t> poppedIds_;
+    std::int32_t* occCount_ = nullptr;
+    std::uint32_t* occMask_ = nullptr;
+    std::uint32_t occBit_ = 0;
 };
 
 /** FIFO of data items of type T. */
@@ -364,8 +387,9 @@ class WorkQueue : public QueueBase
     void
     clear() override
     {
+        std::size_t before = items_.size();
         items_.clear();
-        metaCleared();
+        recordClear(before);
     }
 
     /** Read-only access to the i-th buffered item (capture). */

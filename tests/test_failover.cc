@@ -10,10 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "apps/registry.hh"
 #include "core/engine.hh"
 #include "core/recovery.hh"
 #include "core/shard.hh"
+#include "obs/obs.hh"
 #include "sim/fault.hh"
 
 using namespace vp;
@@ -46,6 +49,28 @@ killDeviceAt(int device, Tick time)
     e.device = device;
     fp.deviceEvents.push_back(e);
     return fp;
+}
+
+/**
+ * Export the run's trace and collect the pid of every event of
+ * category @p cat (the trace kind name), one entry per event.
+ */
+std::vector<int>
+exportedPids(const RunResult& r, const std::string& cat)
+{
+    std::ostringstream os;
+    exportTraceJson(os, r.obs->tracer);
+    std::istringstream lines(os.str());
+    std::vector<int> pids;
+    const std::string key = "\"cat\": \"" + cat + "\"";
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find(key) == std::string::npos)
+            continue;
+        std::size_t at = line.find("\"pid\": ");
+        if (at != std::string::npos)
+            pids.push_back(std::stoi(line.substr(at + 7)));
+    }
+    return pids;
 }
 
 } // namespace
@@ -349,4 +374,65 @@ TEST(Failover, EmptyPlanLeavesShardedRunIdenticalToNoPlan)
     EXPECT_EQ(stageItems(r0), stageItems(r1));
     EXPECT_EQ(r0.cycles, r1.cycles);
     EXPECT_EQ(r0.simEvents, r1.simEvents);
+}
+
+TEST(Failover, ExportedTracePlacesFailoverEventsOnTheirTracks)
+{
+    // Device kills and stage re-homes render on the faults process;
+    // link failures, degradations and transfer redeliveries on the
+    // interconnect process — never on the host track (pid 1).
+    constexpr int kPidFaults = 6;
+    constexpr int kPidInterconnect = 7;
+    auto app = makeApp("raster", AppScale::Small);
+    Pipeline& pipe = app->pipeline();
+    PipelineConfig cfg =
+        makeCoarseConfig(pipe, DeviceConfig::byName("gtx1080"));
+    ShardPlan plan = ShardPlan::pinnedRoundRobin(cfg, pipe, 2);
+
+    // The kill lands while transfers toward device 1 are still on
+    // the wire (see InFlightTransferToDeadDestinationIsRedelivered).
+    Engine killed(groupOf(2));
+    killed.setFaultPlan(killDeviceAt(1, 23500.0));
+    killed.setRecovery(RecoveryConfig{});
+    killed.setObservability(ObsConfig{});
+    RunResult rk = killed.runSharded(*app, cfg, plan);
+    ASSERT_NE(rk.obs, nullptr);
+
+    FaultPlan fp;
+    LinkFaultEvent fail;
+    fail.src = 0;
+    fail.dst = 1;
+    fail.kind = LinkFaultEvent::Kind::Fail;
+    fp.linkEvents.push_back(fail);
+    LinkFaultEvent slow;
+    slow.src = 1;
+    slow.dst = 0;
+    slow.kind = LinkFaultEvent::Kind::Degrade;
+    slow.factor = 0.5;
+    fp.linkEvents.push_back(slow);
+    Engine links(groupOf(2));
+    links.setFaultPlan(fp);
+    links.setRecovery(RecoveryConfig{});
+    links.setObservability(ObsConfig{});
+    RunResult rl = links.runSharded(*app, cfg, plan);
+    ASSERT_NE(rl.obs, nullptr);
+
+    const std::pair<const RunResult*, const char*> faults[] = {
+        {&rk, "device_kill"}, {&rk, "stage_rehome"}};
+    const std::pair<const RunResult*, const char*> wires[] = {
+        {&rk, "transfer_redeliver"},
+        {&rl, "link_fail"},
+        {&rl, "link_degrade"}};
+    for (const auto& [r, cat] : faults) {
+        std::vector<int> pids = exportedPids(*r, cat);
+        EXPECT_FALSE(pids.empty()) << cat << " not recorded";
+        for (int pid : pids)
+            EXPECT_EQ(pid, kPidFaults) << cat;
+    }
+    for (const auto& [r, cat] : wires) {
+        std::vector<int> pids = exportedPids(*r, cat);
+        EXPECT_FALSE(pids.empty()) << cat << " not recorded";
+        for (int pid : pids)
+            EXPECT_EQ(pid, kPidInterconnect) << cat;
+    }
 }

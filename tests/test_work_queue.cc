@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "queueing/remote_queue.hh"
 #include "queueing/work_queue.hh"
 
 using namespace vp;
@@ -200,4 +201,106 @@ TEST(WorkQueue, MoveOnlyPayloadsSupported)
     std::unique_ptr<int> out;
     EXPECT_TRUE(q.pop(out));
     EXPECT_EQ(*out, 5);
+}
+
+TEST(WorkQueue, OccupancyFollowsEveryEmptyTransition)
+{
+    // Two queues share one stage count, as distributed shards do:
+    // after every operation the count is the number of non-empty
+    // queues and the stage's bit is set exactly while it is > 0.
+    std::int32_t count = 0;
+    std::uint32_t mask = 0;
+    WorkQueue<int> a("a");
+    WorkQueue<int> b("b");
+    a.trackOccupancy(&count, &mask, 3);
+    b.trackOccupancy(&count, &mask, 3);
+    auto check = [&](const char* step) {
+        SCOPED_TRACE(step);
+        std::int32_t nonEmpty = (a.empty() ? 0 : 1) + (b.empty() ? 0 : 1);
+        EXPECT_EQ(count, nonEmpty);
+        EXPECT_EQ(mask, nonEmpty > 0 ? 1u << 3 : 0u);
+    };
+    check("attached");
+    a.push(1);
+    check("push into empty");
+    a.push(2);
+    check("push into non-empty");
+    b.push(3);
+    check("second queue");
+    int v = 0;
+    a.pop(v);
+    check("pop leaving one");
+    a.pop(v);
+    check("pop to empty");
+    EXPECT_FALSE(a.pop(v));
+    check("pop on empty");
+    std::vector<int> out;
+    EXPECT_EQ(b.popBatch(out, 0), 0u);
+    check("popBatch n = 0 on non-empty");
+    EXPECT_EQ(a.popBatch(out, 4), 0u);
+    check("popBatch n = 0 on empty");
+    b.push(4);
+    EXPECT_EQ(b.popBatch(out, 1), 1u);
+    check("popBatch leaving one");
+    EXPECT_EQ(b.popBatch(out, 8), 1u);
+    check("popBatch to empty");
+    a.clear();
+    check("clear empty");
+    a.push(5);
+    a.push(6);
+    a.clear();
+    check("clear non-empty");
+    a.push(7);
+    a.push(8);
+    EXPECT_EQ(a.drainInto(b), 2u);
+    check("drainInto");
+    EXPECT_EQ(count, 1);
+}
+
+TEST(WorkQueue, RemoteStubCountsOnlyAfterTakeover)
+{
+    // A stub forwards every push until takeOverLocal(): it never
+    // buffers, so it never reports occupancy. Afterwards it is an
+    // ordinary local queue.
+    std::int32_t count = 0;
+    std::uint32_t mask = 0;
+    int forwarded = 0;
+    RemoteStubQueue<int> stub(
+        "stub", [&forwarded](int, std::uint64_t,
+                             std::function<void(QueueBase&)>) {
+            ++forwarded;
+        });
+    stub.trackOccupancy(&count, &mask, 0);
+    stub.push(1);
+    EXPECT_EQ(forwarded, 1);
+    EXPECT_TRUE(stub.empty());
+    EXPECT_EQ(count, 0);
+    EXPECT_EQ(mask, 0u);
+    stub.takeOverLocal();
+    stub.push(2);
+    EXPECT_EQ(forwarded, 1);
+    EXPECT_FALSE(stub.empty());
+    EXPECT_EQ(count, 1);
+    EXPECT_EQ(mask, 1u);
+    int v = 0;
+    EXPECT_TRUE(stub.pop(v));
+    EXPECT_EQ(count, 0);
+    EXPECT_EQ(mask, 0u);
+}
+
+TEST(WorkQueue, OccupancyRejectsNonEmptyAttachAndNegativeCounts)
+{
+    std::int32_t count = 0;
+    std::uint32_t mask = 0;
+    WorkQueue<int> full("full");
+    full.push(1);
+    // A non-empty queue's occupancy was never counted.
+    EXPECT_THROW(full.trackOccupancy(&count, &mask, 0), PanicError);
+
+    WorkQueue<int> q("q");
+    q.trackOccupancy(&count, &mask, 0);
+    q.push(1);
+    count = 0; // lose the transition the push reported
+    int v = 0;
+    EXPECT_THROW(q.pop(v), PanicError);
 }
