@@ -287,7 +287,7 @@ exportObs(const RunResult& r, const DeviceConfig& dev,
     }
     if (!opts.reportPath.empty()) {
         writeFile(opts.reportPath, "report", [&r](std::ostream& out) {
-            writeReportJson(out, r);
+            writeReportJson(out, r, true);
         });
     }
     if (!opts.csvPath.empty()) {
@@ -591,6 +591,7 @@ show(const std::string& name, const DeviceConfig& dev,
         std::cout << "launches=" << r.device.kernelLaunches
                   << " peakBlocks=" << r.device.peakResidentBlocks
                   << " polls=" << r.polls
+                  << " (elided=" << r.elidedPolls << ")"
                   << " retreats=" << r.retreats
                   << " util=" << TextTable::num(r.smUtilization, 3)
                   << "\n";

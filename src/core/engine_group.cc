@@ -98,6 +98,7 @@ mergeRunnerResult(RunResult& merged, const RunResult& ri)
         a.queue.contentionCycles += b.queue.contentionCycles;
     }
     merged.polls += ri.polls;
+    merged.elidedPolls += ri.elidedPolls;
     merged.retreats += ri.retreats;
     merged.refills += ri.refills;
 

@@ -192,6 +192,9 @@ struct RunResult
 
     /** Empty-queue polls by persistent blocks. */
     std::uint64_t polls = 0;
+    /** Of polls, those a dispatch guard counted without running the
+     *  block's host callback (host-side, like simEvents). */
+    std::uint64_t elidedPolls = 0;
     /** Blocks that retreated (wrong SM / block budget exceeded). */
     std::uint64_t retreats = 0;
     /** Refill kernels launched by the online tuner. */

@@ -347,9 +347,17 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
                 += pollBackoff;
         Tick next_backoff = std::min(
             pollBackoff * 1.5, dev_.config().pollIntervalCycles * 3.0);
-        ctx.poll(pollBackoff, [this, &ctx, specIdx, next_backoff] {
-            blockLoop(ctx, specIdx, next_backoff);
-        });
+        // At the capped backoff the wake-up would build this same
+        // continuation again, so while elideIdlePoll finds this
+        // branch the simulator re-arms it without running blockLoop.
+        IdleGuard* guard = next_backoff == pollBackoff
+            ? idleGuard(specIdx, ctx.smId(), pollBackoff)
+            : nullptr;
+        ctx.poll(pollBackoff,
+                 [this, &ctx, specIdx, next_backoff] {
+                     blockLoop(ctx, specIdx, next_backoff);
+                 },
+                 guard ? &GroupsRunner::elideIdlePoll : nullptr, guard);
         return;
     }
     processBatch(ctx, *qs, s, spec.inlineMask, -1,
@@ -358,6 +366,44 @@ GroupsRunner::blockLoop(BlockContext& ctx, int specIdx,
                                dev_.config().pollIntervalCycles);
                  },
                  &homeQueues(ctx.smId()));
+}
+
+GroupsRunner::IdleGuard*
+GroupsRunner::idleGuard(int specIdx, int smId, Tick backoff)
+{
+    std::size_t sms = static_cast<std::size_t>(dev_.numSms());
+    std::size_t at = static_cast<std::size_t>(specIdx) * sms
+        + static_cast<std::size_t>(smId);
+    while (idleGuards_.size() <= at) {
+        std::size_t i = idleGuards_.size();
+        idleGuards_.push_back(IdleGuard{this, static_cast<int>(i / sms),
+                                        static_cast<int>(i % sms),
+                                        backoff});
+    }
+    return &idleGuards_[at];
+}
+
+bool
+GroupsRunner::elideIdlePoll(void* arg)
+{
+    const IdleGuard& g = *static_cast<const IdleGuard*>(arg);
+    GroupsRunner& r = *g.runner;
+    const KernelSpec& spec = r.specs_[static_cast<std::size_t>(g.specIdx)];
+    // blockLoop's tests, in its order.
+    if (r.adaptiveArmed_) {
+        auto it = r.blockCount_.find(std::make_pair(g.specIdx, g.smId));
+        if (it != r.blockCount_.end() && it->second > spec.blocksPerSm)
+            return false;
+    }
+    // localWork, not futureWork: when only a sharded run's remote
+    // probe could say "still working", the wake-up asks it.
+    if (!r.localWork(spec.futureMask) || (r.queuedMask_ & spec.stageMask))
+        return false;
+    ++r.polls_;
+    ++r.elidedPolls_;
+    if (r.adaptiveArmed_)
+        r.adaptIdle_[static_cast<std::size_t>(g.specIdx)] += g.backoff;
+    return true;
 }
 
 void

@@ -114,10 +114,15 @@ RunnerBase::makeQueues(QueueSet& qs)
             qs.back()->setProvenance(prov_, &sim_, s,
                                      shard_ ? shard_->deviceIndex : 0);
         if (tracer_) {
-            std::string qname = st.name;
-            if (shard_ && shard_->numDevices > 1)
-                qname = "d" + std::to_string(shard_->deviceIndex)
-                    + "/" + qname;
+            // Appended piecewise: "d" + std::to_string(...) trips a
+            // GCC 12 -Wrestrict false positive in Release builds.
+            std::string qname;
+            if (shard_ && shard_->numDevices > 1) {
+                qname = "d";
+                qname += std::to_string(shard_->deviceIndex);
+                qname += '/';
+            }
+            qname += st.name;
             qs.back()->setTrace(tracer_,
                                 static_cast<std::int16_t>(s),
                                 tracer_->intern(qname));
@@ -776,9 +781,13 @@ void
 RunnerBase::registerProbes(Sampler& sampler)
 {
     // Per-device series prefix so group runs keep the devices apart.
+    // Appended piecewise, like the queue names in makeQueues.
     std::string pre;
-    if (shard_ && shard_->numDevices > 1)
-        pre = "d" + std::to_string(shard_->deviceIndex) + "/";
+    if (shard_ && shard_->numDevices > 1) {
+        pre = "d";
+        pre += std::to_string(shard_->deviceIndex);
+        pre += '/';
+    }
     for (int s = 0; s < pipe_.stageCount(); ++s)
         sampler.addSeries(
             pre + "queue_depth/" + pipe_.stage(s).name, [this, s] {
@@ -843,6 +852,7 @@ RunnerBase::collect()
     r.device = dev_.stats();
     r.host = host_.stats();
     r.polls = polls_;
+    r.elidedPolls = elidedPolls_;
     r.retreats = retreats_;
     r.refills = refills_;
     r.extra.set("steals", static_cast<double>(steals_));

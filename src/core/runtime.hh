@@ -15,6 +15,7 @@
 #define VP_CORE_RUNTIME_HH
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -483,6 +484,8 @@ class RunnerBase
     std::vector<std::vector<int>> stageKernels_;
 
     std::uint64_t polls_ = 0;
+    /** Polls counted by a dispatch guard, without a host callback. */
+    std::uint64_t elidedPolls_ = 0;
     std::uint64_t retreats_ = 0;
     std::uint64_t refills_ = 0;
     std::uint64_t steals_ = 0;
@@ -622,6 +625,28 @@ class GroupsRunner : public RunnerBase
     int findWork(int smId, const std::vector<int>& stages,
                  QueueSet*& qs);
 
+    /** Dispatch-guard argument shared by the capped idle polls of
+     *  one (spec, SM) pair's blocks. */
+    struct IdleGuard
+    {
+        GroupsRunner* runner;
+        int specIdx;
+        int smId;
+        Tick backoff; //!< the capped poll backoff
+    };
+
+    /** The guard argument of (@p specIdx, @p smId), created on first
+     *  use at @p backoff. */
+    IdleGuard* idleGuard(int specIdx, int smId, Tick backoff);
+
+    /**
+     * DispatchGuard of a capped idle poll: true when blockLoop would
+     * take its idle branch again, after applying that branch's side
+     * effects (polls, adaptive idle accrual); false lets the wake-up
+     * run blockLoop.
+     */
+    static bool elideIdlePoll(void* arg);
+
     std::vector<KernelSpec> specs_;
     /** Config groups whose specs exist here (home or adopted). */
     std::vector<char> builtGroups_;
@@ -631,6 +656,12 @@ class GroupsRunner : public RunnerBase
     std::map<std::pair<int, int>, int> blockCount_;
     /** Live block -> spec index, for eviction bookkeeping. */
     std::map<BlockContext*, int> blockSpec_;
+    /**
+     * IdleGuard per (spec, SM) at specIdx * numSms + smId. Pending
+     * polls point into it, so it is a deque: growth when adoptStages
+     * adds specs moves no element.
+     */
+    std::deque<IdleGuard> idleGuards_;
     int liveKernels_ = 0;
     /** Live kernels per spec index (serving wake-up bookkeeping:
      *  only specs with no live kernel need a relaunch). */

@@ -58,10 +58,12 @@ BlockContext::delay(Tick cycles, EventFn cb)
 }
 
 void
-BlockContext::poll(Tick cycles, EventFn cb)
+BlockContext::poll(Tick cycles, EventFn cb, DispatchGuard guard,
+                   void* guardArg)
 {
     beginWait(std::move(cb));
-    pendingEvent_ = sim().afterFixed(cycles, [this] { complete(); });
+    pendingEvent_ = sim().afterFixed(cycles, [this] { complete(); },
+                                     guard, guardArg);
 }
 
 void

@@ -63,8 +63,14 @@ class BlockContext
      * (idle-poll backoff, backpressure retry): the wake-up goes on a
      * simulator delay lane (Simulator::afterFixed). Same timing and
      * event order as delay().
+     *
+     * With a @p guard, each wake-up first asks guard(@p guardArg);
+     * true means "@p cb would only poll again with these cycles and
+     * an equal continuation" and the block stays in this wait without
+     * running @p cb (see Simulator::afterFixed).
      */
-    void poll(Tick cycles, EventFn cb);
+    void poll(Tick cycles, EventFn cb, DispatchGuard guard = nullptr,
+              void* guardArg = nullptr);
 
     /** Retire the block, freeing its SM resources. */
     void exit();

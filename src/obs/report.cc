@@ -86,7 +86,8 @@ writeHistogram(std::ostream& os, const Histogram& h,
 } // namespace
 
 void
-writeReportJson(std::ostream& os, const RunResult& r)
+writeReportJson(std::ostream& os, const RunResult& r,
+                bool engineCounters)
 {
     const ObsData* obs = r.obs.get();
 
@@ -101,6 +102,8 @@ writeReportJson(std::ostream& os, const RunResult& r)
     os << "  \"sm_utilization\": " << num(r.smUtilization) << ",\n";
     os << "  \"sim_events\": " << uint(r.simEvents) << ",\n";
     os << "  \"polls\": " << uint(r.polls) << ",\n";
+    if (engineCounters)
+        os << "  \"elided_polls\": " << uint(r.elidedPolls) << ",\n";
     os << "  \"retreats\": " << uint(r.retreats) << ",\n";
     os << "  \"refills\": " << uint(r.refills) << ",\n";
 

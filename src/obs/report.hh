@@ -20,9 +20,14 @@ struct ObsData;
  * Write @p r as a self-contained JSON report. When the run carried
  * an ObsData bundle (r.obs), per-stage latency histograms
  * (count/mean/stddev/min/max/p50/p95/p99), registry metrics, trace
- * summary, and sampled time-series are included inline.
+ * summary, and sampled time-series are included inline. With
+ * @p engineCounters the report also carries the simulator-side
+ * counters that describe host work rather than the modeled device
+ * (`elided_polls`); without it the document is the one earlier
+ * builds wrote, byte for byte.
  */
-void writeReportJson(std::ostream& os, const RunResult& r);
+void writeReportJson(std::ostream& os, const RunResult& r,
+                     bool engineCounters = false);
 
 /**
  * Write the sampled time-series of @p obs as CSV: one `t` column of

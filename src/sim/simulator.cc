@@ -25,6 +25,7 @@ Simulator::freeSlot(std::uint32_t idx)
 {
     Slot& s = slab_[idx];
     s.fn.reset();
+    s.guard = nullptr;
     s.heapPos = kNotQueued;
     // Stale handles to this slot's previous tenant now mismatch.
     ++s.gen;
@@ -167,7 +168,8 @@ Simulator::laneFor(Tick delay, Tick when)
 }
 
 EventHandle
-Simulator::afterFixed(Tick delay, EventFn fn)
+Simulator::afterFixed(Tick delay, EventFn fn, DispatchGuard guard,
+                      void* guardArg)
 {
     VP_ASSERT(delay >= 0.0, "negative delay " << delay);
     Tick when = now_ + delay;
@@ -178,6 +180,8 @@ Simulator::afterFixed(Tick delay, EventFn fn)
     std::uint32_t idx = allocSlot();
     Slot& s = slab_[idx];
     s.fn = std::move(fn);
+    s.guard = guard;
+    s.guardArg = guardArg;
     s.heapPos = kLaneBase + static_cast<std::uint32_t>(lane - lanes_);
     HeapEntry e{when, (takeSeq() << kSlotBits) | idx};
     // Only a lane's first entry can become the earliest lane head.
@@ -263,11 +267,26 @@ Simulator::dispatchNext()
     }
     Lane& lane = lanes_[laneMin_];
     std::uint32_t idx = lane.front().slot();
+    Slot& s = slab_[idx];
     now_ = lane.front().when;
     ++eventsRun_;
-    --laneLive_;
-    EventFn fn = std::move(slab_[idx].fn);
     lane.pop();
+    if (s.guard) {
+        // The callback's own afterFixed would find this lane (the
+        // only one with this delay), take it unless advanceTo left
+        // its tail later than now + delay, and take the next
+        // sequence number: re-arm exactly there.
+        dropDeadHeads(lane);
+        Tick when = now_ + lane.delay;
+        if ((lane.count == 0 || when >= lane.back().when)
+            && s.guard(s.guardArg)) {
+            lane.push(HeapEntry{when, (takeSeq() << kSlotBits) | idx});
+            refreshLaneTop();
+            return;
+        }
+    }
+    --laneLive_;
+    EventFn fn = std::move(s.fn);
     freeSlot(idx);
     dropDeadHeads(lane);
     refreshLaneTop();

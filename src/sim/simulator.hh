@@ -31,6 +31,28 @@
  * entry that is not at its lane's head becomes a tombstone (its slot
  * stays off the freelist and is recycled when the entry reaches the
  * head); heap entries are still removed eagerly.
+ *
+ * A lane entry may carry a dispatch guard (afterFixed's third and
+ * fourth arguments): a plain function and its argument, asked when
+ * the entry reaches dispatch whether firing it would only schedule
+ * the same callback again, afterFixed with the same delay, after the
+ * side effects the guard applies itself (an idle poll at its capped
+ * backoff). When it says yes the simulator counts the dispatch and
+ * appends the same slot to the same lane at now + delay with the
+ * next sequence number; the callback does not run. That is exact:
+ *   - the slot is kept, so the handle afterFixed returned stays valid
+ *     and names the re-armed entry (a later cancel() removes it, as
+ *     it would have removed the callback's own re-poll);
+ *   - the sequence number is taken where the callback's afterFixed
+ *     would have taken it, so (time, seq) order, eventsRun(),
+ *     pendingEvents() and every run-loop limit are unchanged;
+ *   - only an entry whose re-poll would land on its own lane
+ *     qualifies: when advanceTo's tolerance put the lane's tail after
+ *     now + delay, the guard is not asked and the callback runs (its
+ *     afterFixed then takes the heap). Heap entries, including
+ *     afterFixed's heap fallback, never carry a guard.
+ * A guard must not call into the simulator; it is cleared when its
+ * slot is freed (dispatch, cancel).
  */
 
 #ifndef VP_SIM_SIMULATOR_HH
@@ -222,6 +244,12 @@ class EventHandle
 };
 
 /**
+ * Dispatch-time test of a guarded delay-lane entry: true re-arms the
+ * entry without running its callback (Simulator::afterFixed).
+ */
+using DispatchGuard = bool (*)(void*);
+
+/**
  * Deterministic event-driven simulator with a virtual cycle clock.
  */
 class Simulator
@@ -255,8 +283,16 @@ class Simulator
      * retry backoff). The event goes on the FIFO lane for @p delay;
      * when every lane is taken by another delay it goes on the heap.
      * Either way it fires in the same (time, seq) order as after().
+     *
+     * A lane entry with a @p guard asks guard(@p guardArg) at each
+     * dispatch; true stands for a callback that would only re-arm
+     * itself with this delay, so the entry is re-armed in place
+     * instead (see the file comment). A heap fallback drops the
+     * guard.
      */
-    EventHandle afterFixed(Tick delay, EventFn fn);
+    EventHandle afterFixed(Tick delay, EventFn fn,
+                           DispatchGuard guard = nullptr,
+                           void* guardArg = nullptr);
 
     /** Cancel a previously scheduled event; no-op if already run. */
     void cancel(EventHandle h);
@@ -315,6 +351,9 @@ class Simulator
     struct Slot
     {
         EventFn fn;
+        /** Lane entries only: re-arm in place while it says so. */
+        DispatchGuard guard = nullptr;
+        void* guardArg = nullptr;
         /** Bumped on recycle; stale EventHandles mismatch. */
         std::uint32_t gen = 0;
         /**

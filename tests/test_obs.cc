@@ -220,6 +220,24 @@ TEST(Report, JsonCarriesPercentilesAndSeries)
     EXPECT_NE(c.find("occupancy"), std::string::npos);
 }
 
+TEST(Report, EngineCountersCarryElidedPolls)
+{
+    ObsConfig oc;
+    RunResult r = runObserved(oc);
+    // A Megakernel run idles at its capped backoff most of the time:
+    // most of its polls skip the host callback.
+    EXPECT_GT(r.elidedPolls, 0u);
+    EXPECT_LE(r.elidedPolls, r.polls);
+    std::ostringstream plain;
+    writeReportJson(plain, r);
+    EXPECT_EQ(plain.str().find("\"elided_polls\""), std::string::npos);
+    std::ostringstream full;
+    writeReportJson(full, r, true);
+    EXPECT_NE(full.str().find("\"elided_polls\": "
+                              + std::to_string(r.elidedPolls) + ","),
+              std::string::npos);
+}
+
 TEST(Report, StageHistogramsSeeEveryBatch)
 {
     ObsConfig oc;

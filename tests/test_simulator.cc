@@ -7,11 +7,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <exception>
 #include <functional>
 #include <iterator>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -584,4 +586,445 @@ TEST(Simulator, DelayLanesMatchTimeSeqReference)
     }
     // The programs must actually dispatch a meaningful amount.
     EXPECT_GT(total, 20000u);
+}
+
+// ---------- guarded lane entries vs. dispatching every one ---------- //
+
+namespace {
+
+/**
+ * One world of the guarded-lane differential test. Pollers spin on
+ * afterFixed with the runner's backoff (1.5 -> 2.25 -> 3.375 -> 4.5,
+ * capped) until work arrives, like GroupsRunner::blockLoop; heap
+ * events hand out work, retire pollers and stop the run loop. In the
+ * guarded world a capped poll carries a DispatchGuard that takes the
+ * idle branch itself; the reference world runs every callback. Both
+ * log every dispatch, elided or not, as (time, what, poller).
+ */
+class PollWorld
+{
+  public:
+    static constexpr int kPollers = 10;
+
+    struct Record
+    {
+        Tick when;
+        int what;
+        int who;
+        bool operator==(const Record&) const = default;
+    };
+
+    PollWorld(std::uint64_t seed, bool guarded)
+        : rng_(seed), guarded_(guarded)
+    {
+        for (int p = 0; p < kPollers; ++p)
+            args_[p] = GuardArg{this, p};
+    }
+
+    Simulator sim;
+    std::vector<Record> log;
+
+    /** Start poller @p p at backoff step @p step (0..3) if idle. */
+    void
+    start(int p, int step)
+    {
+        Poller& pl = pollers_[p];
+        if (pl.active || closing_)
+            return;
+        pl.active = true;
+        pl.retire = false;
+        pollAfter(p, kBackoff[step]);
+    }
+
+    /** Cancel poller @p p's pending poll (a fault abort). */
+    void
+    abort(int p)
+    {
+        Poller& pl = pollers_[p];
+        if (!pl.active || pl.working)
+            return;
+        sim.cancel(pl.pending);
+        pl.active = false;
+        note(kAbort, p);
+    }
+
+    /**
+     * A heap (or, for @p lane, a non-poll afterFixed) event @p delay
+     * from now that flips some poller's guard.
+     */
+    void
+    flipAfter(Tick delay, bool lane)
+    {
+        auto fn = [this] { onFlip(); };
+        heapWhens_.insert(sim.now() + delay);
+        if (lane)
+            sim.afterFixed(delay, fn);
+        else
+            sim.after(delay, fn);
+    }
+
+    /** Retire every poller at its next poll; start() is refused. */
+    void
+    retireAll()
+    {
+        closing_ = true;
+        for (Poller& pl : pollers_)
+            pl.retire = true;
+    }
+
+    /** Earliest pending time, or +inf. */
+    Tick
+    nextPending() const
+    {
+        Tick t = heapWhens_.empty()
+            ? std::numeric_limits<Tick>::infinity()
+            : *heapWhens_.begin();
+        for (const Poller& pl : pollers_)
+            if (pl.active && !pl.working)
+                t = std::min(t, pl.when);
+        return t;
+    }
+
+    /** Active poller with the earliest poll (a likely lane head). */
+    int
+    earliestPoller() const
+    {
+        int best = -1;
+        for (int p = 0; p < kPollers; ++p) {
+            const Poller& pl = pollers_[p];
+            if (pl.active && !pl.working
+                && (best < 0 || pl.when < pollers_[best].when))
+                best = p;
+        }
+        return best;
+    }
+
+    std::uint64_t elided() const { return elided_; }
+
+  private:
+    enum What
+    {
+        kIdle,
+        kWork,
+        kDone,
+        kRetire,
+        kAbort,
+        kFlip,
+    };
+
+    static constexpr Tick kBackoff[4] = {1.5, 2.25, 3.375, 4.5};
+    /** Far above any seed's dispatch count. */
+    static constexpr std::size_t kMaxLog = 200000;
+
+    struct Poller
+    {
+        EventHandle pending;
+        Tick delay = 0.0;
+        Tick when = 0.0;
+        int work = 0;
+        bool active = false;
+        bool working = false;
+        bool retire = false;
+    };
+
+    struct GuardArg
+    {
+        PollWorld* world;
+        int p;
+    };
+
+    static Tick
+    nextBackoff(Tick d)
+    {
+        return std::min(d * 1.5, kBackoff[3]);
+    }
+
+    void
+    note(int what, int who)
+    {
+        // A run loop that miscounts its limit would spin forever.
+        if (log.size() >= kMaxLog)
+            throw std::runtime_error("runaway dispatch");
+        log.push_back({sim.now(), what, who});
+    }
+
+    bool
+    idle(int p) const
+    {
+        return !pollers_[p].retire && pollers_[p].work == 0;
+    }
+
+    void
+    pollAfter(int p, Tick d)
+    {
+        Poller& pl = pollers_[p];
+        pl.delay = d;
+        pl.when = sim.now() + d;
+        bool capped = guarded_ && nextBackoff(d) == d;
+        pl.pending = sim.afterFixed(d, [this, p] { onPoll(p); },
+                                    capped ? &PollWorld::guard : nullptr,
+                                    &args_[p]);
+    }
+
+    /** The idle branch of onPoll, without the re-poll. */
+    static bool
+    guard(void* arg)
+    {
+        auto* a = static_cast<GuardArg*>(arg);
+        PollWorld& w = *a->world;
+        if (!w.idle(a->p))
+            return false;
+        w.note(kIdle, a->p);
+        Poller& pl = w.pollers_[a->p];
+        pl.when = w.sim.now() + pl.delay;
+        ++w.elided_;
+        return true;
+    }
+
+    void
+    onPoll(int p)
+    {
+        Poller& pl = pollers_[p];
+        if (pl.retire) {
+            note(kRetire, p);
+            pl.active = false;
+            return;
+        }
+        if (pl.work > 0) {
+            --pl.work;
+            note(kWork, p);
+            pl.working = true;
+            Tick d = kWorkDelays[rng_.nextBelow(4)];
+            heapWhens_.insert(sim.now() + d);
+            sim.after(d, [this, p] { onDone(p); });
+            return;
+        }
+        note(kIdle, p);
+        pollAfter(p, nextBackoff(pl.delay));
+    }
+
+    void
+    onDone(int p)
+    {
+        heapWhens_.erase(heapWhens_.find(sim.now()));
+        note(kDone, p);
+        pollers_[p].working = false;
+        pollAfter(p, kBackoff[0]);
+    }
+
+    void
+    onFlip()
+    {
+        heapWhens_.erase(heapWhens_.find(sim.now()));
+        int p = static_cast<int>(rng_.nextBelow(kPollers));
+        note(kFlip, p);
+        std::uint32_t r = rng_.nextBelow(16);
+        if (r < 10)
+            ++pollers_[p].work;
+        else if (r < 12)
+            pollers_[p].retire = true;
+        else if (r < 14)
+            abort(p);
+        else if (r == 14)
+            start(p, static_cast<int>(rng_.nextBelow(4)));
+        else
+            sim.requestStop();
+    }
+
+    /** Exact multiples of the backoffs, so work ends tie with polls. */
+    static constexpr Tick kWorkDelays[4] = {4.5, 9.0, 2.25, 0.0};
+
+    Rng rng_;
+    bool guarded_;
+    Poller pollers_[kPollers];
+    GuardArg args_[kPollers];
+    std::multiset<Tick> heapWhens_;
+    std::uint64_t elided_ = 0;
+    bool closing_ = false;
+};
+
+/**
+ * Drive a guarded and a reference PollWorld through one seeded
+ * program and compare them after every step: the dispatch log (its
+ * order is the (time, seq) order of the callbacks and guards), the
+ * clock, eventsRun(), pendingEvents(), run-loop results and stop
+ * state. Top-level steps start and abort pollers (the earliest, a
+ * likely lane head, or a random one), add flip events on the heap
+ * and on extra lanes (more delays than lanes, so some polls fall
+ * back to the heap), run bounded, until a time, or across advanceTo
+ * hops that land on or within the tolerance past the next event.
+ */
+class GuardProgram
+{
+  public:
+    explicit GuardProgram(std::uint64_t seed)
+        : seed_(seed), rng_(seed ^ 0x9e3779b97f4a7c15ull),
+          guarded_(seed, true), ref_(seed, false)
+    {}
+
+    void
+    run()
+    {
+        for (int step = 0; step < 300 && ok_; ++step) {
+            topLevelStep();
+            compare("after step " + std::to_string(step));
+        }
+        if (!ok_)
+            return;
+        guarded_.retireAll();
+        ref_.retireAll();
+        for (int round = 0; round < 100 && ok_; ++round) {
+            both([](Simulator& s) {
+                s.clearStop();
+                return s.runBounded(100000);
+            });
+            compare("final drain");
+            if (ref_.sim.pendingEvents() == 0)
+                break;
+        }
+        if (ok_ && guarded_.sim.pendingEvents() != 0)
+            fail("events left after drain");
+    }
+
+    std::uint64_t elided() const { return guarded_.elided(); }
+    std::uint64_t events() const { return ref_.sim.eventsRun(); }
+
+  private:
+    static constexpr Tick kFlipDelays[6] = {0.5, 7.0, 12.0, 2.5, 9.0,
+                                            4.5};
+
+    void
+    fail(const std::string& what)
+    {
+        if (ok_)
+            ADD_FAILURE() << "seed " << seed_ << ": " << what;
+        ok_ = false;
+    }
+
+    template <typename F>
+    void
+    both(F op)
+    {
+        bool a = op(guarded_.sim);
+        bool b = op(ref_.sim);
+        if (a != b)
+            fail("run loop results differ");
+    }
+
+    void
+    compare(const std::string& where)
+    {
+        Simulator& g = guarded_.sim;
+        Simulator& r = ref_.sim;
+        std::size_t n = std::min(guarded_.log.size(), ref_.log.size());
+        for (std::size_t i = checked_; i < n; ++i) {
+            if (!(guarded_.log[i] == ref_.log[i])) {
+                const auto& a = guarded_.log[i];
+                const auto& b = ref_.log[i];
+                fail(where + ": dispatch " + std::to_string(i)
+                     + " is (" + std::to_string(a.when) + ", "
+                     + std::to_string(a.what) + ", "
+                     + std::to_string(a.who) + "), reference ("
+                     + std::to_string(b.when) + ", "
+                     + std::to_string(b.what) + ", "
+                     + std::to_string(b.who) + ")");
+                return;
+            }
+        }
+        checked_ = n;
+        if (guarded_.log.size() != ref_.log.size())
+            fail(where + ": dispatch logs differ in length");
+        if (g.now() != r.now())
+            fail(where + ": clocks differ");
+        if (g.eventsRun() != r.eventsRun())
+            fail(where + ": eventsRun " + std::to_string(g.eventsRun())
+                 + " vs " + std::to_string(r.eventsRun()));
+        if (g.pendingEvents() != r.pendingEvents())
+            fail(where + ": pendingEvents "
+                 + std::to_string(g.pendingEvents()) + " vs "
+                 + std::to_string(r.pendingEvents()));
+        if (g.stopRequested() != r.stopRequested())
+            fail(where + ": stop state differs");
+    }
+
+    void
+    topLevelStep()
+    {
+        std::uint32_t op = rng_.nextBelow(16);
+        int p = static_cast<int>(rng_.nextBelow(PollWorld::kPollers));
+        if (op < 3) {
+            int step = static_cast<int>(rng_.nextBelow(4));
+            guarded_.start(p, step);
+            ref_.start(p, step);
+        } else if (op < 5) {
+            // The earliest poll (a lane head) or a random one.
+            if (rng_.nextBelow(2) == 0)
+                p = ref_.earliestPoller();
+            if (p >= 0) {
+                guarded_.abort(p);
+                ref_.abort(p);
+            }
+        } else if (op < 8) {
+            Tick d = kFlipDelays[rng_.nextBelow(6)];
+            bool lane = rng_.nextBelow(3) == 0;
+            guarded_.flipAfter(d, lane);
+            ref_.flipAfter(d, lane);
+        } else if (op < 11) {
+            std::uint64_t limit = 1 + rng_.nextBelow(40);
+            both([limit](Simulator& s) {
+                s.clearStop();
+                return s.runBounded(limit);
+            });
+        } else if (op < 14) {
+            std::uint64_t limit = 1 + rng_.nextBelow(60);
+            Tick until = ref_.sim.now() + 0.75 * rng_.nextBelow(24);
+            both([limit, until](Simulator& s) {
+                s.clearStop();
+                return s.runUntil(until, limit);
+            });
+        } else {
+            Tick next = ref_.nextPending();
+            if (!std::isfinite(next))
+                return;
+            // On the next event, or past it within the tolerance
+            // (polls scheduled now then sit behind a lane entry
+            // that re-arms before them).
+            Tick t = rng_.nextBelow(2) ? next : next + 5e-10;
+            guarded_.sim.advanceTo(t);
+            ref_.sim.advanceTo(t);
+            if (rng_.nextBelow(2)) {
+                int step = static_cast<int>(rng_.nextBelow(4));
+                guarded_.start(p, step);
+                ref_.start(p, step);
+            }
+        }
+    }
+
+    std::uint64_t seed_;
+    Rng rng_;
+    PollWorld guarded_;
+    PollWorld ref_;
+    std::size_t checked_ = 0;
+    bool ok_ = true;
+};
+
+} // namespace
+
+TEST(Simulator, GuardedLaneEntriesMatchFullDispatch)
+{
+    std::uint64_t elided = 0;
+    std::uint64_t events = 0;
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+        GuardProgram prog(seed);
+        try {
+            prog.run();
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "seed " << seed << ": " << e.what();
+        }
+        elided += prog.elided();
+        events += prog.events();
+    }
+    // The guard must actually carry a large share of the dispatches.
+    EXPECT_GT(events, 50000u);
+    EXPECT_GT(elided, events / 4);
 }
